@@ -337,7 +337,8 @@ fn compose_all_reduce(
         collective.total_size(),
     );
     let mut rs_finishers: Vec<Vec<TransferId>> = vec![Vec::new(); collective.num_chunks()];
-    for t in rs.transfers() {
+    let (rs_deps, ag_deps) = (rs.dependencies(), ag.dependencies());
+    for (t, deps) in rs.transfers().iter().zip(rs_deps.iter()) {
         let id = b.push_on_link(
             t.chunk(),
             t.count(),
@@ -345,20 +346,19 @@ fn compose_all_reduce(
             t.dst(),
             t.kind(),
             t.link().expect("taccl transfers carry pinned links"),
-            t.deps().to_vec(),
+            deps,
         );
         if t.dst() == collective.owner(t.chunk()) {
             rs_finishers[t.chunk().index()].push(id);
         }
     }
     let offset = rs.len() as u32;
-    for t in ag.transfers() {
-        let mut deps: Vec<TransferId> = t
-            .deps()
+    for (t, ag_deps) in ag.transfers().iter().zip(ag_deps.iter()) {
+        let mut deps: Vec<TransferId> = ag_deps
             .iter()
             .map(|d| TransferId::new(d.index() as u32 + offset))
             .collect();
-        if t.deps().is_empty() {
+        if ag_deps.is_empty() {
             deps.extend(rs_finishers[t.chunk().index()].iter().copied());
         }
         b.push_on_link(

@@ -7,11 +7,36 @@
 //! * **Scheduled** transfers (TACOS output) carry a `start`/`duration` and a
 //!   concrete physical [`LinkId`]; by construction they are contention-free
 //!   ([`CollectiveAlgorithm::validate_contention_free`]).
-//! * **Dependency-driven** transfers (baseline output) carry only `deps`;
-//!   the simulator resolves link contention (FCFS) and routes multi-hop
-//!   sends — that is how a topology-unaware algorithm exhibits the
+//! * **Dependency-driven** transfers (baseline output) carry only
+//!   dependencies; the simulator resolves link contention (FCFS) and routes
+//!   multi-hop sends — that is how a topology-unaware algorithm exhibits the
 //!   over/undersubscription of paper Figs. 1–2.
+//!
+//! # Dependencies
+//!
+//! An algorithm's dependency edges take one of two forms, and
+//! [`CollectiveAlgorithm::dependencies`] reads both as the same
+//! [`Dependencies`] view:
+//!
+//! * **Explicit lists**, stored as one CSR (an offsets array plus an ids
+//!   array). Baselines and [`crate::export::from_compact`] produce this
+//!   form.
+//! * **The chunk-arrival rule**, for TACOS output. The paper's output is
+//!   the static path of each chunk (Fig. 3), and a chunk leaves an NPU only
+//!   after it has arrived there, so every edge is implied by the
+//!   `(chunk, src, dst, kind)` sequence:
+//!   - a **Copy** of chunk *c* out of NPU *s* depends on the Copy that
+//!     delivered *c* to *s*, if there is one; otherwise on every Reduce of
+//!     *c* into *s*, in ascending id order. That second case is the
+//!     All-Reduce barrier; for a precondition holder the list is empty.
+//!   - a **Reduce** of *c* out of *s* depends on every Reduce of *c* into
+//!     *s*, in descending id order: the Copy rule run backwards in time
+//!     (Fig. 11).
+//!
+//!   Nothing is stored per transfer. Consumers derive the lists once, in
+//!   one O(T) pass over the transfers grouped by chunk.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -41,135 +66,6 @@ impl fmt::Display for TransferId {
     }
 }
 
-/// A transfer's dependency list, inline up to two entries.
-///
-/// Dependency lists are overwhelmingly 0–2 entries long: a scheduled
-/// TACOS transfer depends on at most the transfer that delivered its
-/// chunk to the source, plus one barrier edge when All-Reduce stitching
-/// splices Reduce-Scatter finishers onto All-Gather starters. Storing
-/// those inline means the recording path allocates **per spilled list**
-/// (rare), not per transfer — the dominant allocation of large syntheses
-/// before this type existed. Longer lists (baseline generators with
-/// fan-in dependencies) spill to an ordinary heap vector.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DepList {
-    /// Up to two dependencies, no heap.
-    Inline {
-        /// The entries; only `buf[..len]` is meaningful.
-        buf: [TransferId; 2],
-        /// Number of live entries (0..=2).
-        len: u8,
-    },
-    /// Three or more dependencies.
-    Spilled(Vec<TransferId>),
-}
-
-impl DepList {
-    /// The empty list.
-    pub const fn new() -> Self {
-        DepList::Inline {
-            buf: [TransferId::new(0); 2],
-            len: 0,
-        }
-    }
-
-    /// The dependencies as a slice.
-    pub fn as_slice(&self) -> &[TransferId] {
-        match self {
-            DepList::Inline { buf, len } => &buf[..*len as usize],
-            DepList::Spilled(v) => v,
-        }
-    }
-
-    /// Number of dependencies.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// `true` if there are no dependencies.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Appends a dependency, spilling to the heap on the third entry.
-    pub fn push(&mut self, id: TransferId) {
-        match self {
-            DepList::Inline { buf, len } => {
-                if (*len as usize) < buf.len() {
-                    buf[*len as usize] = id;
-                    *len += 1;
-                } else {
-                    let mut v = Vec::with_capacity(4);
-                    v.extend_from_slice(&buf[..]);
-                    v.push(id);
-                    *self = DepList::Spilled(v);
-                }
-            }
-            DepList::Spilled(v) => v.push(id),
-        }
-    }
-}
-
-impl Default for DepList {
-    fn default() -> Self {
-        DepList::new()
-    }
-}
-
-impl From<Vec<TransferId>> for DepList {
-    fn from(v: Vec<TransferId>) -> Self {
-        match v[..] {
-            [] => DepList::new(),
-            [a] => DepList::Inline {
-                buf: [a, TransferId::new(0)],
-                len: 1,
-            },
-            [a, b] => DepList::Inline {
-                buf: [a, b],
-                len: 2,
-            },
-            _ => DepList::Spilled(v),
-        }
-    }
-}
-
-impl From<Option<TransferId>> for DepList {
-    fn from(dep: Option<TransferId>) -> Self {
-        let mut deps = DepList::new();
-        if let Some(id) = dep {
-            deps.push(id);
-        }
-        deps
-    }
-}
-
-impl From<&[TransferId]> for DepList {
-    fn from(ids: &[TransferId]) -> Self {
-        match *ids {
-            [] => DepList::new(),
-            [a] => DepList::Inline {
-                buf: [a, TransferId::new(0)],
-                len: 1,
-            },
-            [a, b] => DepList::Inline {
-                buf: [a, b],
-                len: 2,
-            },
-            _ => DepList::Spilled(ids.to_vec()),
-        }
-    }
-}
-
-impl<const N: usize> From<[TransferId; N]> for DepList {
-    fn from(ids: [TransferId; N]) -> Self {
-        let mut deps = DepList::new();
-        for id in ids {
-            deps.push(id);
-        }
-        deps
-    }
-}
-
 /// Whether a transfer copies data or combines it into the destination's
 /// accumulator (the red vs. blue arrows of paper Fig. 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,7 +83,7 @@ pub enum TransferKind {
 /// TACOS always moves single chunks (`count == 1`); baseline algorithms
 /// like RHD or BlueConnect aggregate many base chunks into one message per
 /// step, which the simulator costs as `α + β·(count · chunk_size)`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transfer {
     chunk: ChunkId,
     count: u32,
@@ -198,12 +94,12 @@ pub struct Transfer {
     // and `Option<LinkId>` 8, but mesh-scale syntheses record tens of
     // millions of transfers, so the unscheduled case is a sentinel
     // instead (`u32::MAX` link / `u64::MAX` picoseconds — over 200 days,
-    // unreachable for a schedule). This keeps `Transfer` at 64 bytes
-    // (down from 88); the accessors below still speak `Option`.
+    // unreachable for a schedule). With dependencies kept out of the
+    // record (module docs) this makes `Transfer` 40 bytes; the accessors
+    // below still speak `Option`.
     link: u32,
     start_ps: u64,
     duration_ps: u64,
-    deps: DepList,
 }
 
 /// Sentinel for "no physical link chosen" in [`Transfer::link`].
@@ -266,22 +162,218 @@ impl Transfer {
             _ => None,
         }
     }
+}
 
-    /// Transfers that must complete before this one may begin.
-    pub fn deps(&self) -> &[TransferId] {
-        self.deps.as_slice()
+/// Every transfer's dependency list, in one CSR: transfer `i` depends on
+/// `ids[offsets[i]..offsets[i + 1]]`.
+///
+/// Borrowed from an algorithm that stores explicit lists; derived, once
+/// per [`CollectiveAlgorithm::dependencies`] call, for one that follows
+/// the chunk-arrival rule (module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Dependencies<'a> {
+    offsets: Cow<'a, [u32]>,
+    ids: Cow<'a, [TransferId]>,
+}
+
+impl Dependencies<'_> {
+    /// Transfers that must complete before `id` may begin.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    pub fn of(&self, id: TransferId) -> &[TransferId] {
+        let i = id.index();
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Every transfer's list, in transfer id order.
+    pub fn iter(&self) -> impl Iterator<Item = &[TransferId]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.ids[w[0] as usize..w[1] as usize])
+    }
+
+    /// Total number of dependency edges.
+    pub fn num_edges(&self) -> usize {
+        self.ids.len()
+    }
+}
+
+/// How a [`CollectiveAlgorithm`] holds its dependency edges (module docs).
+#[derive(Debug, Clone)]
+enum DepForm {
+    /// Stored lists: transfer `i` depends on `ids[offsets[i]..offsets[i + 1]]`.
+    Explicit {
+        offsets: Vec<u32>,
+        ids: Vec<TransferId>,
+    },
+    /// Derived from the chunk-arrival rule.
+    ChunkArrivals,
+}
+
+impl DepForm {
+    fn explicit() -> Self {
+        DepForm::Explicit {
+            offsets: vec![0],
+            ids: Vec::new(),
+        }
+    }
+}
+
+/// Sentinel ending an intrusive list in [`ChunkArrivals::for_each`].
+const NO_POS: u32 = u32::MAX;
+
+/// Marks a Reduce in [`Arrival::dst_kind`]; NPU ids stay below it.
+const REDUCE_BIT: u32 = 1 << 31;
+
+/// What the chunk-arrival rule reads of one transfer, packed so that a
+/// chunk's group is one sequential run instead of a gather from the
+/// transfer list.
+#[derive(Debug, Clone, Copy, Default)]
+struct Arrival {
+    id: u32,
+    src: u32,
+    /// Destination NPU, with [`REDUCE_BIT`] set for a Reduce.
+    dst_kind: u32,
+}
+
+/// Transfers grouped by chunk, the index the chunk-arrival rule is
+/// evaluated over: chunk `c`'s transfers, ascending by id, are
+/// `arrivals[starts[c]..starts[c + 1]]`. Memory is proportional to the
+/// transfer count plus the chunk count, never their product.
+struct ChunkArrivals {
+    num_npus: usize,
+    starts: Vec<u32>,
+    arrivals: Vec<Arrival>,
+}
+
+impl ChunkArrivals {
+    /// Groups `transfers` by chunk with one counting sort.
+    fn new(transfers: &[Transfer], num_npus: usize) -> Self {
+        assert!(num_npus <= REDUCE_BIT as usize, "NPU ids must fit 31 bits");
+        let num_chunks = transfers
+            .iter()
+            .map(|t| t.chunk.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut starts = vec![0u32; num_chunks + 1];
+        for t in transfers {
+            starts[t.chunk.index() + 1] += 1;
+        }
+        for c in 0..num_chunks {
+            starts[c + 1] += starts[c];
+        }
+        let mut cursor = starts.clone();
+        let mut arrivals = vec![Arrival::default(); transfers.len()];
+        for (i, t) in transfers.iter().enumerate() {
+            let slot = &mut cursor[t.chunk.index()];
+            let kind = match t.kind {
+                TransferKind::Copy => 0,
+                TransferKind::Reduce => REDUCE_BIT,
+            };
+            arrivals[*slot as usize] = Arrival {
+                id: i as u32,
+                src: t.src.raw(),
+                dst_kind: t.dst.raw() | kind,
+            };
+            *slot += 1;
+        }
+        ChunkArrivals {
+            num_npus,
+            starts,
+            arrivals,
+        }
+    }
+
+    /// Calls `visit(id, deps)` once per transfer, chunk by chunk, with the
+    /// list the rule gives it. Returns the first pair of Copies that
+    /// deliver the same chunk to the same NPU, if any: the rule then makes
+    /// a Copy out of that NPU wait for both rather than pick one, and
+    /// [`CollectiveAlgorithm::validate_causal`] reports the pair.
+    fn for_each(
+        &self,
+        mut visit: impl FnMut(TransferId, &[TransferId]),
+    ) -> Option<(TransferId, TransferId)> {
+        // Per chunk, the Copies and the Reduces into each NPU as intrusive
+        // lists threaded through `next`, newest (largest id) first; list
+        // entries are positions in the chunk's group.
+        let mut copies_into = vec![NO_POS; self.num_npus];
+        let mut reduces_into = vec![NO_POS; self.num_npus];
+        let mut next: Vec<u32> = Vec::new();
+        let mut deps: Vec<TransferId> = Vec::new();
+        let mut duplicate = None;
+        for range in self.starts.windows(2) {
+            let group = &self.arrivals[range[0] as usize..range[1] as usize];
+            next.clear();
+            for (pos, a) in group.iter().enumerate() {
+                let dst = (a.dst_kind & !REDUCE_BIT) as usize;
+                let head = if a.dst_kind & REDUCE_BIT == 0 {
+                    if copies_into[dst] != NO_POS && duplicate.is_none() {
+                        let first = group[copies_into[dst] as usize].id;
+                        duplicate = Some((TransferId::new(first), TransferId::new(a.id)));
+                    }
+                    &mut copies_into[dst]
+                } else {
+                    &mut reduces_into[dst]
+                };
+                next.push(*head);
+                *head = pos as u32;
+            }
+            for a in group {
+                let src = a.src as usize;
+                let (mut pos, ascending) = if a.dst_kind & REDUCE_BIT != 0 {
+                    (reduces_into[src], false)
+                } else if copies_into[src] != NO_POS {
+                    (copies_into[src], true)
+                } else {
+                    (reduces_into[src], true)
+                };
+                deps.clear();
+                while pos != NO_POS {
+                    deps.push(TransferId::new(group[pos as usize].id));
+                    pos = next[pos as usize];
+                }
+                if ascending {
+                    deps.reverse();
+                }
+                visit(TransferId::new(a.id), &deps);
+            }
+            for a in group {
+                let dst = (a.dst_kind & !REDUCE_BIT) as usize;
+                copies_into[dst] = NO_POS;
+                reduces_into[dst] = NO_POS;
+            }
+        }
+        duplicate
+    }
+
+    /// The rule's lists as one CSR.
+    fn csr(&self) -> (Vec<u32>, Vec<TransferId>) {
+        let len = self.arrivals.len();
+        let mut offsets = vec![0u32; len + 1];
+        self.for_each(|id, deps| offsets[id.index() + 1] = deps.len() as u32);
+        for i in 0..len {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut ids = vec![TransferId::new(0); offsets[len] as usize];
+        self.for_each(|id, deps| {
+            let at = offsets[id.index()] as usize;
+            ids[at..at + deps.len()].copy_from_slice(deps);
+        });
+        (offsets, ids)
     }
 }
 
 /// A synthesized or hand-written collective algorithm: the static path of
 /// each chunk (paper Fig. 3 output).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CollectiveAlgorithm {
     name: String,
     num_npus: usize,
     chunk_size: ByteSize,
     total_size: ByteSize,
     transfers: Vec<Transfer>,
+    deps: DepForm,
     planned_time: Option<Time>,
 }
 
@@ -319,6 +411,25 @@ impl CollectiveAlgorithm {
         &self.transfers[id.index()]
     }
 
+    /// Every transfer's dependency list. Explicit lists are borrowed; the
+    /// chunk-arrival rule is evaluated here, in one O(T) pass, so callers
+    /// take the view once and index it.
+    pub fn dependencies(&self) -> Dependencies<'_> {
+        match &self.deps {
+            DepForm::Explicit { offsets, ids } => Dependencies {
+                offsets: Cow::Borrowed(offsets),
+                ids: Cow::Borrowed(ids),
+            },
+            DepForm::ChunkArrivals => {
+                let (offsets, ids) = ChunkArrivals::new(&self.transfers, self.num_npus).csr();
+                Dependencies {
+                    offsets: Cow::Owned(offsets),
+                    ids: Cow::Owned(ids),
+                }
+            }
+        }
+    }
+
     /// Number of transfers.
     pub fn len(&self) -> usize {
         self.transfers.len()
@@ -327,6 +438,19 @@ impl CollectiveAlgorithm {
     /// `true` if the algorithm contains no transfers.
     pub fn is_empty(&self) -> bool {
         self.transfers.is_empty()
+    }
+
+    /// Bytes the name, the transfer records and any stored dependency
+    /// lists occupy; derived dependencies cost nothing.
+    pub fn heap_bytes(&self) -> usize {
+        let deps = match &self.deps {
+            DepForm::Explicit { offsets, ids } => {
+                offsets.len() * std::mem::size_of::<u32>()
+                    + ids.len() * std::mem::size_of::<TransferId>()
+            }
+            DepForm::ChunkArrivals => 0,
+        };
+        self.name.len() + self.transfers.len() * std::mem::size_of::<Transfer>() + deps
     }
 
     /// Collective completion time the generator planned for, if any.
@@ -395,26 +519,59 @@ impl CollectiveAlgorithm {
         Ok(())
     }
 
-    /// Checks dependency causality for scheduled algorithms: every transfer
-    /// starts at or after all of its dependencies end.
+    /// Checks dependency causality: every dependency is an earlier
+    /// transfer, and every scheduled transfer starts at or after all of
+    /// its dependencies end. Under the chunk-arrival rule it also rejects
+    /// two Copies of one chunk into one NPU.
     ///
     /// # Errors
     /// Returns a human-readable description of the first violation.
     pub fn validate_causal(&self) -> Result<(), String> {
-        for (i, t) in self.transfers.iter().enumerate() {
-            let Some(start) = t.start() else { continue };
-            for &dep in t.deps.as_slice() {
+        let check = |id: TransferId, deps: &[TransferId]| -> Result<(), String> {
+            let start = self.transfers[id.index()].start();
+            for &dep in deps {
+                if dep >= id {
+                    return Err(format!("{id} depends on {dep}, which is not earlier"));
+                }
+                let Some(start) = start else { continue };
                 let dep_end = self.transfers[dep.index()]
                     .end()
-                    .ok_or_else(|| format!("T{i} depends on unscheduled {dep}"))?;
+                    .ok_or_else(|| format!("{id} depends on unscheduled {dep}"))?;
                 if dep_end > start {
                     return Err(format!(
-                        "T{i} starts at {start} before its dependency {dep} ends at {dep_end}"
+                        "{id} starts at {start} before its dependency {dep} ends at {dep_end}"
                     ));
                 }
             }
+            Ok(())
+        };
+        match &self.deps {
+            DepForm::Explicit { .. } => {
+                let deps = self.dependencies();
+                for (i, list) in deps.iter().enumerate() {
+                    check(TransferId::new(i as u32), list)?;
+                }
+                Ok(())
+            }
+            DepForm::ChunkArrivals => {
+                let mut result = Ok(());
+                let duplicate =
+                    ChunkArrivals::new(&self.transfers, self.num_npus).for_each(|id, deps| {
+                        if result.is_ok() {
+                            result = check(id, deps);
+                        }
+                    });
+                if let Some((a, b)) = duplicate {
+                    let t = &self.transfers[b.index()];
+                    return Err(format!(
+                        "{a} and {b} both copy chunk {} into NPU {}",
+                        t.chunk.raw(),
+                        t.dst
+                    ));
+                }
+                result
+            }
         }
-        Ok(())
     }
 
     /// The hop sequence of `chunk` as `(src, dst)` pairs in schedule order
@@ -426,9 +583,15 @@ impl CollectiveAlgorithm {
     }
 
     /// Produces the **time-reversed** algorithm used for combining
-    /// collectives (paper Fig. 11): every transfer's direction flips, its
-    /// kind becomes [`TransferKind::Reduce`], its window `[s, e]` maps to
-    /// `[T - e, T - s]`, and dependency edges invert.
+    /// collectives (paper Fig. 11): the transfer order reverses, every
+    /// transfer's direction flips, its kind becomes
+    /// [`TransferKind::Reduce`], and its window `[s, e]` maps to
+    /// `[T - e, T - s]`.
+    ///
+    /// The result follows the chunk-arrival rule: a Reduce out of an NPU
+    /// waits for every Reduce into it. For a Copy schedule whose own
+    /// dependencies are its chunk arrivals, as every TACOS schedule's are,
+    /// that is exactly the inverted edge set.
     ///
     /// The caller provides the matching reversed topology implicitly: link
     /// ids are preserved because [`Topology::reversed`] keeps link order.
@@ -438,43 +601,60 @@ impl CollectiveAlgorithm {
     /// for synthesized, scheduled algorithms).
     pub fn time_reversed(&self, name: impl Into<String>) -> CollectiveAlgorithm {
         let total = self.collective_time();
-        let n = self.transfers.len();
-        // New index = n - 1 - old index keeps "deps reference earlier ids".
-        let flip = |old: usize| TransferId::new((n - 1 - old) as u32);
-        let mut reversed: Vec<Transfer> = Vec::with_capacity(n);
-        for old in (0..n).rev() {
-            let t = &self.transfers[old];
-            let start = t.start().expect("time reversal requires a schedule");
-            let end = t.end().expect("time reversal requires a schedule");
-            reversed.push(Transfer {
-                chunk: t.chunk,
-                count: t.count,
-                src: t.dst,
-                dst: t.src,
-                kind: TransferKind::Reduce,
-                link: t.link,
-                start_ps: (total - end).as_ps(),
-                duration_ps: (end - start).as_ps(),
-                deps: DepList::new(),
-            });
-        }
-        // Invert dependency edges: old "b depends on a" becomes "a' depends
-        // on b'".
-        for (old_b, t) in self.transfers.iter().enumerate() {
-            for &dep_a in t.deps.as_slice() {
-                let new_a = flip(dep_a.index());
-                let new_b = flip(old_b);
-                reversed[new_a.index()].deps.push(new_b);
-            }
-        }
+        let transfers = self
+            .transfers
+            .iter()
+            .rev()
+            .map(|t| {
+                let start = t.start().expect("time reversal requires a schedule");
+                let end = t.end().expect("time reversal requires a schedule");
+                Transfer {
+                    src: t.dst,
+                    dst: t.src,
+                    kind: TransferKind::Reduce,
+                    start_ps: (total - end).as_ps(),
+                    duration_ps: (end - start).as_ps(),
+                    ..*t
+                }
+            })
+            .collect();
         CollectiveAlgorithm {
             name: name.into(),
             num_npus: self.num_npus,
             chunk_size: self.chunk_size,
             total_size: self.total_size,
-            transfers: reversed,
+            transfers,
+            deps: DepForm::ChunkArrivals,
             planned_time: Some(total),
         }
+    }
+
+    /// Appends `next` after this algorithm: its transfers take the ids
+    /// after this algorithm's and start once this one completes. Both
+    /// must follow the chunk-arrival rule, which then gates each chunk's
+    /// first Copy out of an NPU on every Reduce of that chunk into it —
+    /// the barrier between the phases of a TACOS All-Reduce (§IV-E).
+    ///
+    /// # Panics
+    /// Panics if either algorithm stores explicit dependencies, the NPU
+    /// counts differ, or a transfer of `next` is unscheduled.
+    pub fn followed_by(mut self, next: &CollectiveAlgorithm) -> CollectiveAlgorithm {
+        assert!(
+            matches!(
+                (&self.deps, &next.deps),
+                (DepForm::ChunkArrivals, DepForm::ChunkArrivals)
+            ),
+            "only chunk-arrival algorithms concatenate"
+        );
+        assert_eq!(self.num_npus, next.num_npus, "NPU counts differ");
+        let shift = self.collective_time();
+        self.transfers
+            .extend(next.transfers.iter().map(|t| Transfer {
+                start_ps: (t.start().expect("concatenation requires a schedule") + shift).as_ps(),
+                ..*t
+            }));
+        self.planned_time = Some(shift + next.collective_time());
+        self
     }
 
     /// Achieved collective bandwidth for a completion time: `total_size /
@@ -485,6 +665,23 @@ impl CollectiveAlgorithm {
         } else {
             total_size.as_u64() as f64 / time.as_secs_f64()
         }
+    }
+}
+
+/// Equal when everything, including every dependency list, is equal,
+/// whichever form each side stores its dependencies in.
+impl PartialEq for CollectiveAlgorithm {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.num_npus == other.num_npus
+            && self.chunk_size == other.chunk_size
+            && self.total_size == other.total_size
+            && self.planned_time == other.planned_time
+            && self.transfers == other.transfers
+            && match (&self.deps, &other.deps) {
+                (DepForm::ChunkArrivals, DepForm::ChunkArrivals) => true,
+                _ => self.dependencies() == other.dependencies(),
+            }
     }
 }
 
@@ -512,12 +709,14 @@ pub struct AlgorithmBuilder {
     chunk_size: ByteSize,
     total_size: ByteSize,
     transfers: Vec<Transfer>,
+    deps: DepForm,
     planned_time: Option<Time>,
 }
 
 impl AlgorithmBuilder {
     /// Starts building an algorithm for `num_npus` NPUs moving chunks of
-    /// `chunk_size` out of a `total_size` payload.
+    /// `chunk_size` out of a `total_size` payload, with explicit
+    /// dependency lists.
     pub fn new(
         name: impl Into<String>,
         num_npus: usize,
@@ -530,7 +729,23 @@ impl AlgorithmBuilder {
             chunk_size,
             total_size,
             transfers: Vec::new(),
+            deps: DepForm::explicit(),
             planned_time: None,
+        }
+    }
+
+    /// Like [`AlgorithmBuilder::new`], but the algorithm's dependencies
+    /// follow the chunk-arrival rule (module docs), so every push passes
+    /// an empty list and nothing is stored per transfer.
+    pub fn chunk_arrivals(
+        name: impl Into<String>,
+        num_npus: usize,
+        chunk_size: ByteSize,
+        total_size: ByteSize,
+    ) -> Self {
+        AlgorithmBuilder {
+            deps: DepForm::ChunkArrivals,
+            ..AlgorithmBuilder::new(name, num_npus, chunk_size, total_size)
         }
     }
 
@@ -564,9 +779,9 @@ impl AlgorithmBuilder {
         src: NpuId,
         dst: NpuId,
         kind: TransferKind,
-        deps: impl Into<DepList>,
+        deps: impl AsRef<[TransferId]>,
     ) -> TransferId {
-        self.push_transfer(chunk, 1, src, dst, kind, None, None, None, deps.into())
+        self.push_transfer(chunk, 1, src, dst, kind, None, None, None, deps.as_ref())
     }
 
     /// Pushes a dependency-driven *aggregated* message of `count`
@@ -582,10 +797,20 @@ impl AlgorithmBuilder {
         src: NpuId,
         dst: NpuId,
         kind: TransferKind,
-        deps: impl Into<DepList>,
+        deps: impl AsRef<[TransferId]>,
     ) -> TransferId {
         assert!(count > 0, "message must carry at least one chunk");
-        self.push_transfer(chunk, count, src, dst, kind, None, None, None, deps.into())
+        self.push_transfer(
+            chunk,
+            count,
+            src,
+            dst,
+            kind,
+            None,
+            None,
+            None,
+            deps.as_ref(),
+        )
     }
 
     /// Pushes a dependency-driven message pinned to a specific physical
@@ -603,7 +828,7 @@ impl AlgorithmBuilder {
         dst: NpuId,
         kind: TransferKind,
         link: LinkId,
-        deps: impl Into<DepList>,
+        deps: impl AsRef<[TransferId]>,
     ) -> TransferId {
         assert!(count > 0, "message must carry at least one chunk");
         self.push_transfer(
@@ -615,7 +840,7 @@ impl AlgorithmBuilder {
             Some(link),
             None,
             None,
-            deps.into(),
+            deps.as_ref(),
         )
     }
 
@@ -633,7 +858,7 @@ impl AlgorithmBuilder {
         link: LinkId,
         start: Time,
         duration: Time,
-        deps: impl Into<DepList>,
+        deps: impl AsRef<[TransferId]>,
     ) -> TransferId {
         self.push_transfer(
             chunk,
@@ -644,7 +869,7 @@ impl AlgorithmBuilder {
             Some(link),
             Some(start),
             Some(duration),
-            deps.into(),
+            deps.as_ref(),
         )
     }
 
@@ -659,14 +884,24 @@ impl AlgorithmBuilder {
         link: Option<LinkId>,
         start: Option<Time>,
         duration: Option<Time>,
-        deps: DepList,
+        deps: &[TransferId],
     ) -> TransferId {
         assert!(src.index() < self.num_npus, "src {src} out of range");
         assert!(dst.index() < self.num_npus, "dst {dst} out of range");
         assert_ne!(src, dst, "transfer endpoints must differ");
         let id = TransferId::new(self.transfers.len() as u32);
-        for dep in deps.as_slice() {
-            assert!(dep.index() < id.index(), "dependency {dep} not yet pushed");
+        match &mut self.deps {
+            DepForm::Explicit { offsets, ids } => {
+                for dep in deps {
+                    assert!(dep.index() < id.index(), "dependency {dep} not yet pushed");
+                }
+                ids.extend_from_slice(deps);
+                offsets.push(u32::try_from(ids.len()).expect("dependency count fits u32"));
+            }
+            DepForm::ChunkArrivals => assert!(
+                deps.is_empty(),
+                "dependencies are derived from chunk arrivals"
+            ),
         }
         debug_assert!(
             start.is_none_or(|t| t.as_ps() != NO_TIME_PS)
@@ -683,7 +918,6 @@ impl AlgorithmBuilder {
             link: link.map_or(NO_LINK_RAW, LinkId::raw),
             start_ps: start.map_or(NO_TIME_PS, Time::as_ps),
             duration_ps: duration.map_or(NO_TIME_PS, Time::as_ps),
-            deps,
         });
         id
     }
@@ -702,6 +936,7 @@ impl AlgorithmBuilder {
             chunk_size: self.chunk_size,
             total_size: self.total_size,
             transfers: self.transfers,
+            deps: self.deps,
             planned_time: self.planned_time,
         }
     }
@@ -775,7 +1010,10 @@ mod tests {
         let t = a.transfer(TransferId::new(1));
         assert_eq!(t.src(), NpuId::new(1));
         assert_eq!(t.end(), Some(Time::from_ps(20)));
-        assert_eq!(t.deps(), &[TransferId::new(0)]);
+        assert_eq!(
+            a.dependencies().of(TransferId::new(1)),
+            &[TransferId::new(0)]
+        );
         assert_eq!(
             a.chunk_path(ChunkId::new(0)),
             vec![
@@ -855,9 +1093,139 @@ mod tests {
         assert_eq!(t1.start(), Some(Time::from_ps(10)));
         // Dependency edge inverted: the second reversed transfer depends on
         // the first.
-        assert_eq!(t1.deps(), &[TransferId::new(0)]);
+        assert_eq!(
+            r.dependencies().of(TransferId::new(1)),
+            &[TransferId::new(0)]
+        );
         assert!(r.validate_causal().is_ok());
         assert!(r.validate_contention_free().is_ok());
+    }
+
+    /// Pushes a scheduled one-chunk transfer over `[start, start + 10)`
+    /// on its own link.
+    fn hop(
+        b: &mut AlgorithmBuilder,
+        chunk: u32,
+        (src, dst): (u32, u32),
+        kind: TransferKind,
+        start: u64,
+        deps: &[u32],
+    ) {
+        let deps: Vec<TransferId> = deps.iter().map(|&d| TransferId::new(d)).collect();
+        let link = LinkId::new(b.len() as u32);
+        b.push_scheduled(
+            ChunkId::new(chunk),
+            NpuId::new(src),
+            NpuId::new(dst),
+            kind,
+            link,
+            Time::from_ps(start),
+            Time::from_ps(10),
+            deps,
+        );
+    }
+
+    /// A small All-Reduce-shaped schedule, as `(chunk, (src, dst), kind,
+    /// start, the dependencies the chunk-arrival rule gives it)`.
+    #[allow(clippy::type_complexity)]
+    fn all_reduce_shape() -> Vec<(u32, (u32, u32), TransferKind, u64, &'static [u32])> {
+        use TransferKind::{Copy, Reduce};
+        vec![
+            // Chunk 0 reduces into NPU 0 (NPUs 3 and 4 via 1) ...
+            (0, (3, 1), Reduce, 0, &[]),
+            (1, (3, 2), Copy, 0, &[]),
+            (0, (4, 1), Reduce, 0, &[]),
+            (0, (2, 0), Reduce, 0, &[]),
+            // ... a Reduce waits for every Reduce into its source,
+            // newest first ...
+            (0, (1, 0), Reduce, 10, &[2, 0]),
+            (1, (2, 0), Copy, 10, &[1]),
+            // ... the owner's Copies wait for every Reduce into it, oldest
+            // first (the All-Reduce barrier) ...
+            (0, (0, 1), Copy, 20, &[3, 4]),
+            (0, (0, 2), Copy, 20, &[3, 4]),
+            // ... and a forwarded Copy waits for the Copy that delivered it.
+            (0, (1, 3), Copy, 30, &[6]),
+            (0, (1, 4), Copy, 30, &[6]),
+        ]
+    }
+
+    #[test]
+    fn chunk_arrival_rule_derives_the_explicit_edges() {
+        let mut rule = AlgorithmBuilder::chunk_arrivals("r", 5, ByteSize::mb(1), ByteSize::mb(2));
+        let mut explicit = AlgorithmBuilder::new("r", 5, ByteSize::mb(1), ByteSize::mb(2));
+        for &(chunk, ends, kind, start, deps) in &all_reduce_shape() {
+            hop(&mut rule, chunk, ends, kind, start, &[]);
+            hop(&mut explicit, chunk, ends, kind, start, deps);
+        }
+        let (rule, explicit) = (rule.build(), explicit.build());
+        let derived = rule.dependencies();
+        for (i, &(.., deps)) in all_reduce_shape().iter().enumerate() {
+            let want: Vec<TransferId> = deps.iter().map(|&d| TransferId::new(d)).collect();
+            assert_eq!(derived.of(TransferId::new(i as u32)), &want[..], "T{i}");
+        }
+        assert_eq!(derived, explicit.dependencies());
+        assert_eq!(derived.num_edges(), 9);
+        assert_eq!(rule, explicit, "equality compares edges, not storage");
+        assert!(rule.validate_causal().is_ok());
+        assert!(rule.heap_bytes() < explicit.heap_bytes());
+    }
+
+    #[test]
+    fn chunk_arrival_rule_rejects_ambiguous_and_forward_edges() {
+        use TransferKind::Copy;
+        // Two Copies of chunk 0 into NPU 1: a Copy out of NPU 1 waits for
+        // both, and validation reports the pair.
+        let mut b = AlgorithmBuilder::chunk_arrivals("dup", 3, ByteSize::mb(1), ByteSize::mb(1));
+        hop(&mut b, 0, (0, 1), Copy, 0, &[]);
+        hop(&mut b, 0, (2, 1), Copy, 0, &[]);
+        hop(&mut b, 0, (1, 2), Copy, 10, &[]);
+        let dup = b.build();
+        let deps = dup.dependencies();
+        assert_eq!(
+            deps.of(TransferId::new(2)),
+            &[TransferId::new(0), TransferId::new(1)]
+        );
+        let err = dup.validate_causal().unwrap_err();
+        assert!(err.contains("T0 and T1 both copy chunk 0"), "{err}");
+
+        // A chunk forwarded before the Copy that delivers it.
+        let mut b = AlgorithmBuilder::chunk_arrivals("fwd", 3, ByteSize::mb(1), ByteSize::mb(1));
+        hop(&mut b, 0, (1, 2), Copy, 10, &[]);
+        hop(&mut b, 0, (0, 1), Copy, 0, &[]);
+        let err = b.build().validate_causal().unwrap_err();
+        assert!(err.contains("not earlier"), "{err}");
+    }
+
+    #[test]
+    fn concatenation_shifts_starts_and_derives_the_barrier() {
+        let mut rs = AlgorithmBuilder::chunk_arrivals("rs", 2, ByteSize::mb(1), ByteSize::mb(1));
+        hop(&mut rs, 0, (1, 0), TransferKind::Reduce, 0, &[]);
+        rs.planned_time(Time::from_ps(10));
+        let mut ag = AlgorithmBuilder::chunk_arrivals("ag", 2, ByteSize::mb(1), ByteSize::mb(1));
+        hop(&mut ag, 0, (0, 1), TransferKind::Copy, 0, &[]);
+        ag.planned_time(Time::from_ps(10));
+        let ar = rs.build().followed_by(&ag.build());
+        assert_eq!(ar.name(), "rs");
+        assert_eq!(ar.len(), 2);
+        assert_eq!(ar.planned_time(), Some(Time::from_ps(20)));
+        assert_eq!(
+            ar.transfer(TransferId::new(1)).start(),
+            Some(Time::from_ps(10))
+        );
+        assert_eq!(
+            ar.dependencies().of(TransferId::new(1)),
+            &[TransferId::new(0)]
+        );
+        assert!(ar.validate_causal().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "derived from chunk arrivals")]
+    fn chunk_arrival_builders_take_no_lists() {
+        let mut b = AlgorithmBuilder::chunk_arrivals("bad", 3, ByteSize::mb(1), ByteSize::mb(1));
+        hop(&mut b, 0, (0, 1), TransferKind::Copy, 0, &[]);
+        hop(&mut b, 0, (1, 2), TransferKind::Copy, 10, &[0]);
     }
 
     #[test]
@@ -883,40 +1251,6 @@ mod tests {
             NpuId::new(1),
             TransferKind::Copy,
             vec![],
-        );
-    }
-
-    #[test]
-    fn dep_list_inlines_up_to_two_and_spills_beyond() {
-        let mut deps = DepList::new();
-        assert!(deps.is_empty());
-        assert_eq!(deps.as_slice(), &[]);
-        deps.push(TransferId::new(7));
-        deps.push(TransferId::new(9));
-        assert!(matches!(deps, DepList::Inline { len: 2, .. }));
-        assert_eq!(deps.as_slice(), &[TransferId::new(7), TransferId::new(9)]);
-        deps.push(TransferId::new(11));
-        assert!(matches!(deps, DepList::Spilled(_)));
-        assert_eq!(deps.len(), 3);
-        assert_eq!(
-            deps.as_slice(),
-            &[TransferId::new(7), TransferId::new(9), TransferId::new(11)]
-        );
-
-        // Conversions match push-built lists at every length.
-        for n in 0..5u32 {
-            let ids: Vec<TransferId> = (0..n).map(TransferId::new).collect();
-            let from_vec = DepList::from(ids.clone());
-            assert_eq!(from_vec.as_slice(), &ids[..], "len {n}");
-        }
-        assert_eq!(
-            DepList::from(Some(TransferId::new(3))).as_slice(),
-            &[TransferId::new(3)]
-        );
-        assert!(DepList::from(None).is_empty());
-        assert_eq!(
-            DepList::from([TransferId::new(1), TransferId::new(2)]).len(),
-            2
         );
     }
 

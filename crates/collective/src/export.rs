@@ -16,7 +16,9 @@
 
 use std::fmt::Write as _;
 
-use crate::algorithm::{CollectiveAlgorithm, Transfer, TransferKind};
+use tacos_topology::Time;
+
+use crate::algorithm::{CollectiveAlgorithm, Transfer, TransferId, TransferKind};
 
 /// Serializes the full algorithm as compact JSON.
 ///
@@ -37,7 +39,8 @@ pub fn to_json(algo: &CollectiveAlgorithm) -> String {
         let _ = write!(out, ",\"planned_time_ps\":{}", t.as_ps());
     }
     out.push_str(",\"transfers\":[");
-    for (i, t) in algo.transfers().iter().enumerate() {
+    let deps = algo.dependencies();
+    for (i, (t, deps)) in algo.transfers().iter().zip(deps.iter()).enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -60,12 +63,7 @@ pub fn to_json(algo: &CollectiveAlgorithm) -> String {
             let _ = write!(out, ",\"duration_ps\":{}", d.as_ps());
         }
         out.push_str(",\"deps\":[");
-        for (j, dep) in t.deps().iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}", dep.index());
-        }
+        push_list(&mut out, deps);
         out.push_str("]}");
     }
     out.push_str("]}");
@@ -170,45 +168,76 @@ pub fn to_msccl_xml(algo: &CollectiveAlgorithm) -> String {
 /// `<chunk> <count> <src> <dst> <C|R> <link|-> <start_ps|-> <dur_ps|-> <dep,dep,...|->`.
 pub fn to_compact(algo: &CollectiveAlgorithm) -> String {
     let mut out = String::with_capacity(algo.len() * 48 + 64);
-    let _ = writeln!(
-        out,
-        "tacos-algo v1 {} {} {} {} {}",
-        algo.name().replace(' ', "_"),
-        algo.num_npus(),
+    out.push_str("tacos-algo v1 ");
+    out.push_str(&algo.name().replace(' ', "_"));
+    for v in [
+        algo.num_npus() as u64,
         algo.chunk_size().as_u64(),
         algo.total_size().as_u64(),
-        algo.planned_time()
-            .map_or("-".to_string(), |t| t.as_ps().to_string()),
-    );
-    for t in algo.transfers() {
-        let deps = if t.deps().is_empty() {
-            "-".to_string()
+    ] {
+        out.push(' ');
+        push_u64(&mut out, v);
+    }
+    out.push(' ');
+    push_opt(&mut out, algo.planned_time().map(Time::as_ps));
+    out.push('\n');
+    let deps = algo.dependencies();
+    for (t, deps) in algo.transfers().iter().zip(deps.iter()) {
+        for v in [t.chunk().raw(), t.count(), t.src().raw(), t.dst().raw()] {
+            push_u64(&mut out, u64::from(v));
+            out.push(' ');
+        }
+        out.push_str(match t.kind() {
+            TransferKind::Copy => "C ",
+            TransferKind::Reduce => "R ",
+        });
+        push_opt(&mut out, t.link().map(|l| u64::from(l.raw())));
+        out.push(' ');
+        push_opt(&mut out, t.start().map(Time::as_ps));
+        out.push(' ');
+        push_opt(&mut out, t.duration().map(Time::as_ps));
+        out.push(' ');
+        if deps.is_empty() {
+            out.push('-');
         } else {
-            t.deps()
-                .iter()
-                .map(|d| d.index().to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let _ = writeln!(
-            out,
-            "{} {} {} {} {} {} {} {} {}",
-            t.chunk().raw(),
-            t.count(),
-            t.src().raw(),
-            t.dst().raw(),
-            match t.kind() {
-                TransferKind::Copy => "C",
-                TransferKind::Reduce => "R",
-            },
-            t.link().map_or("-".to_string(), |l| l.raw().to_string()),
-            t.start().map_or("-".to_string(), |s| s.as_ps().to_string()),
-            t.duration()
-                .map_or("-".to_string(), |d| d.as_ps().to_string()),
-            deps,
-        );
+            push_list(&mut out, deps);
+        }
+        out.push('\n');
     }
     out
+}
+
+/// Appends the decimal digits of `v` without going through `fmt`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `v`, or `-` for `None`.
+fn push_opt(out: &mut String, v: Option<u64>) {
+    match v {
+        Some(v) => push_u64(out, v),
+        None => out.push('-'),
+    }
+}
+
+/// Appends a comma-separated list of transfer ids.
+fn push_list(out: &mut String, ids: &[TransferId]) {
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64(out, id.index() as u64);
+    }
 }
 
 /// Parses the compact format produced by [`to_compact`].
@@ -216,9 +245,9 @@ pub fn to_compact(algo: &CollectiveAlgorithm) -> String {
 /// # Errors
 /// Returns a human-readable description of the first malformed line.
 pub fn from_compact(text: &str) -> Result<CollectiveAlgorithm, String> {
-    use crate::algorithm::{AlgorithmBuilder, TransferId};
+    use crate::algorithm::AlgorithmBuilder;
     use crate::ChunkId;
-    use tacos_topology::{ByteSize, LinkId, NpuId, Time};
+    use tacos_topology::{ByteSize, LinkId, NpuId};
 
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or("empty input")?;
@@ -246,16 +275,23 @@ pub fn from_compact(text: &str) -> Result<CollectiveAlgorithm, String> {
     );
     let planned = opt(h[6], "planned_time")?;
 
+    let mut deps: Vec<TransferId> = Vec::new();
     for (lineno, line) in lines {
-        if line.trim().is_empty() {
+        let mut f = [""; 9];
+        let mut fields = 0;
+        for field in line.split_whitespace() {
+            if let Some(slot) = f.get_mut(fields) {
+                *slot = field;
+            }
+            fields += 1;
+        }
+        if fields == 0 {
             continue;
         }
-        let f: Vec<&str> = line.split_whitespace().collect();
-        if f.len() != 9 {
+        if fields != 9 {
             return Err(format!(
-                "line {}: expected 9 fields, got {}",
-                lineno + 1,
-                f.len()
+                "line {}: expected 9 fields, got {fields}",
+                lineno + 1
             ));
         }
         let chunk = ChunkId::new(num(f[0], "chunk")? as u32);
@@ -270,25 +306,24 @@ pub fn from_compact(text: &str) -> Result<CollectiveAlgorithm, String> {
         let link = opt(f[5], "link")?.map(|l| LinkId::new(l as u32));
         let start = opt(f[6], "start")?.map(Time::from_ps);
         let duration = opt(f[7], "duration")?.map(Time::from_ps);
-        let deps: Vec<TransferId> = if f[8] == "-" {
-            Vec::new()
-        } else {
-            f[8].split(',')
-                .map(|d| num(d, "dep").map(|v| TransferId::new(v as u32)))
-                .collect::<Result<_, _>>()?
-        };
+        deps.clear();
+        if f[8] != "-" {
+            for d in f[8].split(',') {
+                deps.push(TransferId::new(num(d, "dep")? as u32));
+            }
+        }
         match (link, start, duration) {
             (Some(link), Some(start), Some(duration)) => {
-                b.push_scheduled(chunk, src, dst, kind, link, start, duration, deps);
+                b.push_scheduled(chunk, src, dst, kind, link, start, duration, &deps);
             }
             (Some(link), None, None) => {
-                b.push_on_link(chunk, count, src, dst, kind, link, deps);
+                b.push_on_link(chunk, count, src, dst, kind, link, &deps);
             }
             (None, None, None) => {
                 if count == 1 {
-                    b.push(chunk, src, dst, kind, deps);
+                    b.push(chunk, src, dst, kind, &deps);
                 } else {
-                    b.push_counted(chunk, count, src, dst, kind, deps);
+                    b.push_counted(chunk, count, src, dst, kind, &deps);
                 }
             }
             _ => {
@@ -421,6 +456,7 @@ mod tests {
         // Name spaces are flattened to underscores; everything else equal.
         assert_eq!(back.name(), "dep_algo");
         assert_eq!(back.len(), a.len());
+        let (xd, yd) = (a.dependencies(), back.dependencies());
         for (x, y) in a.transfers().iter().zip(back.transfers()) {
             assert_eq!(x.chunk(), y.chunk());
             assert_eq!(x.count(), y.count());
@@ -428,8 +464,8 @@ mod tests {
             assert_eq!(x.dst(), y.dst());
             assert_eq!(x.kind(), y.kind());
             assert_eq!(x.link(), y.link());
-            assert_eq!(x.deps(), y.deps());
         }
+        assert_eq!(xd, yd);
     }
 
     #[test]

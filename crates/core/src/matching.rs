@@ -61,13 +61,10 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use tacos_collective::algorithm::{AlgorithmBuilder, TransferId, TransferKind};
+use tacos_collective::algorithm::{AlgorithmBuilder, TransferKind};
 use tacos_collective::{ChunkId, ChunkMatrix, Collective};
 use tacos_ten::{Arrival, ExpandingTen};
 use tacos_topology::{LinkId, NpuId, Topology};
-
-/// Sentinel for "chunk was initially held; no providing transfer".
-const NO_PROVIDER: u32 = u32::MAX;
 
 /// Sentinel link index terminating an intrusive stale list.
 const NO_LINK: u32 = u32::MAX;
@@ -201,8 +198,8 @@ impl RelayInfo {
     }
 }
 
-/// Mutable matching state: who holds what, who still needs what, and which
-/// transfer delivered each held chunk (for dependency edges).
+/// Mutable matching state: who holds what, who still needs what, and
+/// which links may match in the next round.
 ///
 /// All buffers live for the lifetime of the surrounding
 /// [`crate::SynthesisScratch`] and are rebuilt in place by
@@ -210,7 +207,6 @@ impl RelayInfo {
 /// scenario grid points) do not reallocate.
 #[derive(Default)]
 pub(crate) struct MatchState {
-    num_chunks: usize,
     num_npus: usize,
     /// SoA chunk state, one flat buffer: rows `0..n` are per-NPU `holds`
     /// (chunks physically arrived), rows `n..2n` are `needs`
@@ -218,11 +214,11 @@ pub(crate) struct MatchState {
     /// (relay mode only) are `seen` (arrived or in flight, for duplicate
     /// suppression).
     matrix: ChunkMatrix,
-    /// `provider[npu * num_chunks + chunk]` = transfer that delivered the
-    /// chunk (dependency for onward forwards). Empty when dependency
-    /// tracking is disabled.
-    provider: Vec<u32>,
     unsatisfied: usize,
+    /// Links probed since the last reset (one per worklist entry per
+    /// round): the deterministic work counter behind
+    /// `SynthesisResult::probes`.
+    probes: u64,
     /// The event-driven worklist: links whose probe result could have
     /// changed since they last probed empty. A round drains this list;
     /// arrivals push re-freshened links back ([`MatchState::wake`]).
@@ -281,19 +277,19 @@ impl MatchState {
         &mut self,
         topo: &Topology,
         collective: &Collective,
-        track_deps: bool,
         with_relay: bool,
         reference: bool,
     ) {
         let n = topo.num_npus();
-        let num_chunks = collective.num_chunks();
         self.num_npus = n;
-        self.num_chunks = num_chunks;
         self.relay = None;
         self.reference = reference;
-        self.matrix
-            .reset(if with_relay { 3 * n } else { 2 * n }, num_chunks);
+        self.matrix.reset(
+            if with_relay { 3 * n } else { 2 * n },
+            collective.num_chunks(),
+        );
         self.unsatisfied = 0;
+        self.probes = 0;
         for npu in topo.npus() {
             let pre = collective.precondition(npu);
             let post = collective.postcondition(npu);
@@ -301,10 +297,6 @@ impl MatchState {
             self.matrix.load_row(n + npu.index(), &post);
             self.matrix.subtract_rows(n + npu.index(), npu.index());
             self.unsatisfied += self.matrix.row_len(n + npu.index());
-        }
-        self.provider.clear();
-        if track_deps {
-            self.provider.resize(n * num_chunks, NO_PROVIDER);
         }
         let links = topo.num_links();
         // Every link starts awake with an empty stale list.
@@ -336,7 +328,6 @@ impl MatchState {
         preconditions: Vec<tacos_collective::ChunkSet>,
         postconditions: Vec<tacos_collective::ChunkSet>,
         num_links: usize,
-        track_deps: bool,
     ) -> Self {
         assert_eq!(preconditions.len(), postconditions.len());
         let num_chunks = preconditions
@@ -344,7 +335,6 @@ impl MatchState {
             .map_or(0, tacos_collective::ChunkSet::capacity);
         let n = preconditions.len();
         let mut state = MatchState {
-            num_chunks,
             num_npus: n,
             matrix: ChunkMatrix::new(2 * n, num_chunks),
             ..MatchState::default()
@@ -354,9 +344,6 @@ impl MatchState {
             state.matrix.load_row(n + i, post);
             state.matrix.subtract_rows(n + i, i);
             state.unsatisfied += state.matrix.row_len(n + i);
-        }
-        if track_deps {
-            state.provider.resize(n * num_chunks, NO_PROVIDER);
         }
         state.awake.extend((0..num_links as u32).map(LinkId::new));
         state.in_awake.resize(num_links, true);
@@ -403,23 +390,9 @@ impl MatchState {
         self.matrix.row_to_set(npu.index())
     }
 
-    #[cfg(test)]
-    pub(crate) fn tracks_deps(&self) -> bool {
-        !self.provider.is_empty()
-    }
-
-    fn provider_of(&self, npu: NpuId, chunk: usize) -> Option<TransferId> {
-        if self.provider.is_empty() {
-            return None;
-        }
-        let raw = self.provider[npu.index() * self.num_chunks + chunk];
-        (raw != NO_PROVIDER).then(|| TransferId::new(raw))
-    }
-
-    fn set_provider(&mut self, npu: NpuId, chunk: usize, transfer: TransferId) {
-        if !self.provider.is_empty() {
-            self.provider[npu.index() * self.num_chunks + chunk] = transfer.index() as u32;
-        }
+    /// Links probed since the last reset.
+    pub(crate) fn probes(&self) -> u64 {
+        self.probes
     }
 
     /// Registers a chunk arrival: the destination now *holds* the chunk and
@@ -535,6 +508,7 @@ impl MatchState {
                     .map(|&k| (LinkId::new((k >> 32) as u32), k as u32)),
             );
         }
+        self.probes += order.len() as u64;
         self.order = order;
         self.order_keys = keys;
     }
@@ -549,8 +523,9 @@ impl MatchState {
     }
 
     /// Records one link–chunk match: postcondition bookkeeping, TEN
-    /// occupancy, and (when recording) the scheduled transfer with its
-    /// dependency on the chunk's providing transfer.
+    /// occupancy, and (when recording) the scheduled transfer. The
+    /// transfer carries no dependency list: the algorithm derives its
+    /// edges from chunk arrivals afterwards.
     #[allow(clippy::too_many_arguments)]
     fn commit_match(
         &mut self,
@@ -580,9 +555,7 @@ impl MatchState {
         let arrive = ten.occupy(link, chunk);
         *transfers_out += 1;
         if let Some(b) = builder.as_deref_mut() {
-            // `Option<TransferId>` converts to an inline `DepList` — the
-            // recording path allocates nothing per transfer.
-            let id = b.push_scheduled(
+            b.push_scheduled(
                 chunk,
                 src,
                 dst,
@@ -590,9 +563,8 @@ impl MatchState {
                 link,
                 start,
                 arrive - start,
-                self.provider_of(src, chunk.index()),
+                [],
             );
-            self.set_provider(dst, chunk.index(), id);
         }
     }
 
@@ -600,8 +572,7 @@ impl MatchState {
     /// time (paper Alg. 1). Returns the number of link–chunk matches made.
     ///
     /// When `builder` is `Some`, each match is recorded as a scheduled
-    /// transfer whose dependency is the transfer that delivered the chunk
-    /// to the source (empty for precondition chunks).
+    /// transfer.
     ///
     /// This is the event-driven, zero-allocation form: the round iterates
     /// only the awake links (see the module docs), and with recording
@@ -787,17 +758,17 @@ mod tests {
         Topology::ring(4, spec, RingOrientation::Unidirectional).unwrap()
     }
 
-    fn all_gather_state(topo: &Topology, track_deps: bool) -> MatchState {
+    fn all_gather_state(topo: &Topology) -> MatchState {
         let coll = Collective::all_gather(topo.num_npus(), ByteSize::mb(4)).unwrap();
         let pre = topo.npus().map(|n| coll.precondition(n)).collect();
         let post = topo.npus().map(|n| coll.postcondition(n)).collect();
-        MatchState::new(pre, post, topo.num_links(), track_deps)
+        MatchState::new(pre, post, topo.num_links())
     }
 
     #[test]
     fn initial_unsatisfied_count() {
         let topo = ring4();
-        let state = all_gather_state(&topo, true);
+        let state = all_gather_state(&topo);
         // Each of 4 NPUs needs the 3 chunks it does not own.
         assert_eq!(state.unsatisfied(), 12);
     }
@@ -805,7 +776,7 @@ mod tests {
     #[test]
     fn first_round_saturates_the_ring() {
         let topo = ring4();
-        let mut state = all_gather_state(&topo, true);
+        let mut state = all_gather_state(&topo);
         let mut ten = ExpandingTen::new(&topo, ByteSize::mb(1));
         let mut rng = StdRng::seed_from_u64(1);
         let mut count = 0u64;
@@ -823,7 +794,7 @@ mod tests {
     #[test]
     fn arrivals_enable_forwarding() {
         let topo = ring4();
-        let mut state = all_gather_state(&topo, true);
+        let mut state = all_gather_state(&topo);
         let mut ten = ExpandingTen::new(&topo, ByteSize::mb(1));
         let mut rng = StdRng::seed_from_u64(1);
         let mut count = 0u64;
@@ -838,13 +809,14 @@ mod tests {
     }
 
     #[test]
-    fn provider_tracking_builds_dependencies() {
+    fn recorded_transfers_derive_their_dependencies() {
         let topo = ring4();
         let coll = Collective::all_gather(4, ByteSize::mb(4)).unwrap();
-        let mut state = all_gather_state(&topo, true);
+        let mut state = all_gather_state(&topo);
         let mut ten = ExpandingTen::new(&topo, ByteSize::mb(1));
         let mut rng = StdRng::seed_from_u64(1);
-        let mut builder = AlgorithmBuilder::new("t", 4, coll.chunk_size(), coll.total_size());
+        let mut builder =
+            AlgorithmBuilder::chunk_arrivals("t", 4, coll.chunk_size(), coll.total_size());
         let mut count = 0u64;
         loop {
             state.run_round(
@@ -868,26 +840,19 @@ mod tests {
         // 4 NPUs x 3 missing chunks = 12 transfers.
         assert_eq!(algo.len(), 12);
         // Forwarded chunks depend on the transfer that delivered them.
-        let with_deps = algo
-            .transfers()
-            .iter()
-            .filter(|t| !t.deps().is_empty())
-            .count();
-        assert_eq!(with_deps, 8); // rounds 2 and 3 forward delivered chunks
+        let deps = algo.dependencies();
+        assert_eq!(deps.iter().filter(|d| !d.is_empty()).count(), 8); // rounds 2 and 3
+        for (t, d) in algo.transfers().iter().zip(deps.iter()) {
+            for dep in d {
+                let delivered = algo.transfer(*dep);
+                assert_eq!((delivered.chunk(), delivered.dst()), (t.chunk(), t.src()));
+            }
+        }
         assert!(algo.validate_causal().is_ok());
         assert!(algo.validate_contention_free().is_ok());
-    }
-
-    #[test]
-    fn dependency_tracking_can_be_disabled() {
-        let topo = ring4();
-        let mut state = all_gather_state(&topo, false);
-        assert!(!state.tracks_deps());
-        let mut ten = ExpandingTen::new(&topo, ByteSize::mb(1));
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut count = 0u64;
-        let matches = state.run_round(&topo, &mut ten, &mut rng, true, None, &mut count);
-        assert_eq!(matches, 4);
+        // One probe per worklist entry: 4 links in round one, then the
+        // links each arrival woke.
+        assert!(state.probes() >= 12, "{} probes", state.probes());
     }
 
     /// Zero-cost links read as free (`busy_until == now`) the instant they
@@ -904,7 +869,7 @@ mod tests {
             Time::ZERO,
             "test premise: the link cost rounds to zero"
         );
-        let mut state = all_gather_state(&topo, false);
+        let mut state = all_gather_state(&topo);
         let mut ten = ExpandingTen::new(&topo, ByteSize::bytes(1));
         let mut rng = StdRng::seed_from_u64(5);
         let mut count = 0u64;
@@ -929,8 +894,8 @@ mod tests {
     fn pruned_and_reference_rounds_agree() {
         let topo = ring4();
         for seed in 0..16 {
-            let mut a = all_gather_state(&topo, true);
-            let mut b = all_gather_state(&topo, true);
+            let mut a = all_gather_state(&topo);
+            let mut b = all_gather_state(&topo);
             let mut ten_a = ExpandingTen::new(&topo, ByteSize::mb(1));
             let mut ten_b = ExpandingTen::new(&topo, ByteSize::mb(1));
             let mut rng_a = StdRng::seed_from_u64(seed);

@@ -2,7 +2,7 @@
 //!
 //! One synthesis attempt needs a matching state (the SoA chunk matrix,
 //! the event-driven wake index and its per-NPU stale lists, the sorted
-//! round order, provider table), an expanding TEN (per-link costs, busy
+//! round order), an expanding TEN (per-link costs, busy
 //! times, the arrival heap), and an arrival-event buffer. None of these
 //! depend on the seed — only on the topology/collective shape — so a
 //! best-of-N search or a scenario sweep re-allocating them per attempt

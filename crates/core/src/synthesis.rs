@@ -5,10 +5,10 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tacos_collective::algorithm::{AlgorithmBuilder, CollectiveAlgorithm, TransferId};
+use tacos_collective::algorithm::{AlgorithmBuilder, CollectiveAlgorithm};
 use tacos_collective::{Collective, CollectivePattern};
 use tacos_ten::ExpandingTen;
-use tacos_topology::{NpuId, Time, Topology};
+use tacos_topology::{Time, Topology};
 
 use crate::config::SynthesizerConfig;
 use crate::error::SynthesisError;
@@ -23,6 +23,7 @@ pub struct SynthesisResult {
     synthesis_duration: Duration,
     rounds: usize,
     num_transfers: u64,
+    probes: u64,
     seed: u64,
 }
 
@@ -58,6 +59,13 @@ impl SynthesisResult {
     /// recording is disabled).
     pub fn num_transfers(&self) -> u64 {
         self.num_transfers
+    }
+
+    /// Number of links probed for a match, summed over rounds (and over
+    /// both phases of an All-Reduce): a deterministic measure of the
+    /// matching work, unlike [`SynthesisResult::synthesis_duration`].
+    pub fn probes(&self) -> u64 {
+        self.probes
     }
 
     /// The RNG seed that produced this result.
@@ -230,7 +238,7 @@ impl Synthesizer {
             events,
             relay: relay_cache,
         } = scratch;
-        state.reset(topo, collective, record, targets.is_some(), reference);
+        state.reset(topo, collective, targets.is_some(), reference);
         // Sparse-postcondition patterns need relay routing through
         // disinterested intermediates (see matching::RelayInfo). The BFS
         // distance tables only depend on topology + targets, so best-of-N
@@ -250,7 +258,7 @@ impl Synthesizer {
             None => ten.insert(ExpandingTen::new(topo, collective.chunk_size())),
         };
         let mut builder = record.then(|| {
-            let mut b = AlgorithmBuilder::new(
+            let mut b = AlgorithmBuilder::chunk_arrivals(
                 name,
                 topo.num_npus(),
                 collective.chunk_size(),
@@ -312,7 +320,7 @@ impl Synthesizer {
                 b.build()
             }
             None => {
-                let mut b = AlgorithmBuilder::new(
+                let mut b = AlgorithmBuilder::chunk_arrivals(
                     name,
                     topo.num_npus(),
                     collective.chunk_size(),
@@ -328,6 +336,7 @@ impl Synthesizer {
             synthesis_duration: Duration::ZERO,
             rounds,
             num_transfers,
+            probes: state.probes(),
             seed,
         })
     }
@@ -373,16 +382,14 @@ impl Synthesizer {
         let reversed_topo = topo.reversed();
         let mut result =
             self.synthesize_gather("tacos-dual", &reversed_topo, &dual, seed, scratch)?;
-        if self.config.record_transfers() {
-            result.algorithm = result.algorithm.time_reversed("tacos");
-        }
+        result.algorithm = result.algorithm.time_reversed("tacos");
         Ok(result)
     }
 
     /// All-Reduce: a Reduce-Scatter phase followed by an All-Gather phase
-    /// (paper §IV-E). Both phases are synthesized independently; the
-    /// All-Gather phase's initial sends depend on the Reduce-Scatter
-    /// completing the corresponding chunk at its owner.
+    /// (paper §IV-E). Both phases are synthesized independently and
+    /// concatenated; the chunk-arrival rule makes each chunk's All-Gather
+    /// sends out of its owner wait for the reduction into the owner.
     fn synthesize_all_reduce(
         &self,
         topo: &Topology,
@@ -405,93 +412,14 @@ impl Synthesizer {
         let rs = self.synthesize_combining(topo, &rs_coll, seed, scratch)?;
         let ag =
             self.synthesize_gather("tacos-ag", topo, &ag_coll, seed.wrapping_add(1), scratch)?;
-        let total_time = rs.collective_time + ag.collective_time;
-
-        if !self.config.record_transfers() {
-            let mut b = AlgorithmBuilder::new(
-                "tacos",
-                topo.num_npus(),
-                collective.chunk_size(),
-                collective.total_size(),
-            );
-            b.planned_time(total_time);
-            return Ok(SynthesisResult {
-                algorithm: b.build(),
-                collective_time: total_time,
-                synthesis_duration: Duration::ZERO,
-                rounds: rs.rounds + ag.rounds,
-                num_transfers: rs.num_transfers + ag.num_transfers,
-                seed,
-            });
-        }
-
-        let rs_algo = rs.algorithm();
-        let ag_algo = ag.algorithm();
-        let rs_time = rs.collective_time;
-        let mut b = AlgorithmBuilder::new(
-            "tacos",
-            topo.num_npus(),
-            collective.chunk_size(),
-            collective.total_size(),
-        );
-        // Phase 1: Reduce-Scatter, as scheduled.
-        for t in rs_algo.transfers() {
-            b.push_scheduled(
-                t.chunk(),
-                t.src(),
-                t.dst(),
-                t.kind(),
-                t.link().expect("recorded algorithms are scheduled"),
-                t.start().expect("recorded algorithms are scheduled"),
-                t.duration().expect("recorded algorithms are scheduled"),
-                t.deps(),
-            );
-        }
-        // Barrier dependencies: the All-Gather send of chunk `c` out of its
-        // owner requires every Reduce-Scatter transfer delivering a partial
-        // of `c` into the owner to have completed.
-        let owner_of = |chunk: tacos_collective::ChunkId| -> NpuId { collective.owner(chunk) };
-        let rs_finishers: Vec<Vec<TransferId>> = {
-            let mut map = vec![Vec::new(); collective.num_chunks()];
-            for (i, t) in rs_algo.transfers().iter().enumerate() {
-                if t.dst() == owner_of(t.chunk()) {
-                    map[t.chunk().index()].push(TransferId::new(i as u32));
-                }
-            }
-            map
-        };
-        // Phase 2: All-Gather, shifted by the Reduce-Scatter's duration.
-        let offset = rs_algo.len() as u32;
-        for t in ag_algo.transfers() {
-            let mut deps = tacos_collective::algorithm::DepList::new();
-            for d in t.deps() {
-                deps.push(TransferId::new(d.index() as u32 + offset));
-            }
-            if t.deps().is_empty() {
-                // Initial send out of the owner: wait for the reduction.
-                for &f in &rs_finishers[t.chunk().index()] {
-                    deps.push(f);
-                }
-            }
-            b.push_scheduled(
-                t.chunk(),
-                t.src(),
-                t.dst(),
-                t.kind(),
-                t.link().expect("recorded algorithms are scheduled"),
-                t.start().expect("recorded algorithms are scheduled") + rs_time,
-                t.duration().expect("recorded algorithms are scheduled"),
-                deps,
-            );
-        }
-        b.planned_time(total_time);
         Ok(SynthesisResult {
-            algorithm: b.build(),
-            collective_time: total_time,
+            collective_time: rs.collective_time + ag.collective_time,
             synthesis_duration: Duration::ZERO,
             rounds: rs.rounds + ag.rounds,
             num_transfers: rs.num_transfers + ag.num_transfers,
+            probes: rs.probes + ag.probes,
             seed,
+            algorithm: rs.algorithm.followed_by(&ag.algorithm),
         })
     }
 }
@@ -767,7 +695,7 @@ mod tests {
 mod extended_pattern_tests {
     use super::*;
     use tacos_collective::ChunkId;
-    use tacos_topology::{Bandwidth, ByteSize, LinkSpec, RingOrientation};
+    use tacos_topology::{Bandwidth, ByteSize, LinkSpec, NpuId, RingOrientation};
 
     fn spec() -> LinkSpec {
         LinkSpec::new(Time::from_micros(0.5), Bandwidth::gbps(50.0))

@@ -86,9 +86,6 @@ const DEFAULT_SHARDS: u64 = 16;
 /// map slot, `Arc` + bookkeeping, algorithm container.
 const ENTRY_OVERHEAD_BYTES: u64 = 128;
 
-/// Approximate in-memory size of one schedule transfer record.
-const TRANSFER_BYTES: u64 = 72;
-
 /// One warm entry: the schedule plus the completion time the daemon
 /// measured for it (planned time for syntheses, simulated time for
 /// baselines) — kept so a warm hit re-serves the time without
@@ -333,16 +330,11 @@ impl WarmCache {
 
     /// Approximate in-memory footprint of one entry, charged against
     /// [`WarmLimits::max_bytes`]: key text, fixed per-entry overhead,
-    /// and the schedule's transfer + dependency records. An estimate on
-    /// purpose — the budget needs to scale with schedule size, not
-    /// account for every allocator bucket.
+    /// and the schedule's [`CollectiveAlgorithm::heap_bytes`]. An
+    /// estimate on purpose — the budget needs to scale with schedule
+    /// size, not account for every allocator bucket.
     pub fn approx_entry_bytes(key: &str, entry: &WarmEntry) -> u64 {
-        let transfers = entry.algo.transfers();
-        let deps: usize = transfers.iter().map(|t| t.deps().len()).sum();
-        key.len() as u64
-            + ENTRY_OVERHEAD_BYTES
-            + transfers.len() as u64 * TRANSFER_BYTES
-            + deps as u64 * 4
+        key.len() as u64 + ENTRY_OVERHEAD_BYTES + entry.algo.heap_bytes() as u64
     }
 
     fn shard_for(&self, key: &str) -> &WarmShard {

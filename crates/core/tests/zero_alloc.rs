@@ -11,9 +11,10 @@
 //! result struct) touches the heap.
 //!
 //! The recording path gets the analogous bound: with recording enabled,
-//! dependency lists live inline in each transfer (no per-transfer heap),
-//! so allocations grow with the builder's amortized vec doublings —
-//! logarithmic in transfer count — not with transfers or rounds.
+//! a transfer is one fixed-size record with no dependency list (the
+//! algorithm derives its edges from chunk arrivals), so allocations grow
+//! with the builder's amortized vec doublings — logarithmic in transfer
+//! count — not with transfers or rounds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -135,11 +136,10 @@ fn run_round_makes_zero_per_round_allocations() {
 
 /// With transfer recording enabled, the only heap traffic beyond
 /// per-synthesis setup is the builder's amortized transfer-vec growth:
-/// dependency lists are stored inline in the `Transfer`, so scaling the
-/// same problem from ~224 to ~1792 recorded transfers (and ~8x the
-/// rounds) must add far fewer allocations than it adds transfers. Before
-/// the inline dep-list, every forwarded transfer allocated its one-entry
-/// deps `Vec`, which this bound catches.
+/// transfers carry no dependency list, so scaling the same problem from
+/// ~224 to ~1792 recorded transfers (and ~8x the rounds) must add far
+/// fewer allocations than it adds transfers. A per-transfer allocation,
+/// such as a one-entry deps `Vec`, fails this bound.
 #[test]
 fn recording_path_allocations_do_not_scale_with_transfers() {
     let _serial = SERIAL.lock().unwrap();

@@ -22,6 +22,7 @@ impl Json {
     /// Returns a readable message with the byte offset of the problem.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -104,6 +105,7 @@ impl Json {
 const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -239,16 +241,24 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid; find the char at this byte).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = rest.chars().next().expect("peeked a byte");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("unescaped control character at byte {}", self.pos));
+                    // Copy the whole run of plain characters up to the
+                    // next quote, backslash or control byte. All three are
+                    // ASCII, so the run ends on a char boundary of the
+                    // (valid UTF-8) input.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        match b {
+                            b'"' | b'\\' => break,
+                            0..=0x1f => {
+                                return Err(format!(
+                                    "unescaped control character at byte {}",
+                                    self.pos
+                                ))
+                            }
+                            _ => self.pos += 1,
+                        }
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -369,11 +379,47 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        let original = Json::Str("a\"b\\c\nd\te\u{1}é😀".into());
-        let parsed = Json::parse(&original.to_string()).unwrap();
-        assert_eq!(parsed, original);
+        for text in [
+            "a\"b\\c\nd\te\u{1}é😀",
+            "",
+            "ünïcödé 中文 ✓ 😀😀",
+            "é\"é\\é\n",
+            "\u{7f}\u{80}\u{7ff}\u{800}\u{ffff}\u{10000}",
+            "tail escape\t",
+            "\"leading quote",
+        ] {
+            let original = Json::Str(text.into());
+            let parsed = Json::parse(&original.to_string()).unwrap();
+            assert_eq!(parsed, original, "{text:?}");
+        }
+        assert_eq!(
+            Json::parse(r#""a\u00e9b\/c""#).unwrap(),
+            Json::Str("aéb/c".into())
+        );
         // Explicit surrogate pair.
         assert_eq!(Json::parse(r#""😀""#).unwrap(), Json::Str("😀".into()));
+    }
+
+    /// Regression: the string scanner re-validated the whole remaining
+    /// input per character, so a multi-MB string took minutes.
+    #[test]
+    fn multi_megabyte_strings_parse_in_linear_time() {
+        let line = "12 1 3 4 C 5 600 700 8,9\n";
+        let big = line.repeat(1 << 18);
+        assert!(big.len() > 6 << 20, "several MB");
+        let original = Json::obj([("algorithm_compact", Json::Str(big.clone()))]);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&original.to_string()).unwrap();
+        assert_eq!(
+            parsed.get("algorithm_compact").unwrap().as_str(),
+            Some(&big[..])
+        );
+        assert_eq!(parsed, original);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(20),
+            "parsing took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -222,15 +222,29 @@ impl Simulator {
             }
         }
 
-        // Dependency bookkeeping.
-        let mut deps_remaining: Vec<u32> =
-            transfers.iter().map(|t| t.deps().len() as u32).collect();
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); transfers.len()];
-        for (i, t) in transfers.iter().enumerate() {
-            for d in t.deps() {
-                dependents[d.index()].push(i as u32);
+        // Dependency bookkeeping: each transfer's outstanding count, and
+        // the reverse edges as one CSR — transfer `t` releases
+        // `dependents[dependents_at[t]..dependents_at[t + 1]]`, ascending.
+        let (mut deps_remaining, dependents_at, dependents) = {
+            let deps = algo.dependencies();
+            let remaining: Vec<u32> = deps.iter().map(|d| d.len() as u32).collect();
+            let mut at = vec![0u32; transfers.len() + 1];
+            for d in deps.iter().flatten() {
+                at[d.index() + 1] += 1;
             }
-        }
+            for i in 0..transfers.len() {
+                at[i + 1] += at[i];
+            }
+            let mut fill = at.clone();
+            let mut dependents = vec![0u32; deps.num_edges()];
+            for (i, list) in deps.iter().enumerate() {
+                for d in list {
+                    dependents[fill[d.index()] as usize] = i as u32;
+                    fill[d.index()] += 1;
+                }
+            }
+            (remaining, at, dependents)
+        };
 
         // Planned starts double as release times and as queue priorities:
         // a scheduled transfer is never served before (or out of order
@@ -379,7 +393,9 @@ impl Simulator {
                     } else {
                         // Transfer complete; release dependents.
                         completed_transfers += 1;
-                        for d in std::mem::take(&mut dependents[t_idx]) {
+                        let released =
+                            dependents_at[t_idx] as usize..dependents_at[t_idx + 1] as usize;
+                        for &d in &dependents[released] {
                             deps_remaining[d as usize] -= 1;
                             if deps_remaining[d as usize] == 0 {
                                 let msg = Message {

@@ -44,7 +44,7 @@ proptest! {
                 NpuId::new(i as u32),
                 NpuId::new((i + 1) as u32),
                 TransferKind::Copy,
-                dep,
+                dep.as_slice(),
             );
             dep = Some(id);
         }
