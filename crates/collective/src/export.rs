@@ -16,9 +16,10 @@
 
 use std::fmt::Write as _;
 
-use tacos_topology::Time;
+use tacos_topology::{ByteSize, LinkId, NpuId, Time};
 
-use crate::algorithm::{CollectiveAlgorithm, Transfer, TransferId, TransferKind};
+use crate::algorithm::{AlgorithmBuilder, CollectiveAlgorithm, Transfer, TransferId, TransferKind};
+use crate::ChunkId;
 
 /// Serializes the full algorithm as compact JSON.
 ///
@@ -242,102 +243,139 @@ fn push_list(out: &mut String, ids: &[TransferId]) {
 
 /// Parses the compact format produced by [`to_compact`].
 ///
+/// Every value is checked against the field it fills, so a parseable
+/// but invalid line (an NPU id out of range, `src == dst`, a dependency
+/// that is not an earlier transfer, a zero count, a value too wide for
+/// its field or equal to an "unscheduled" sentinel) is an error rather
+/// than a panic or a silent truncation.
+///
 /// # Errors
-/// Returns a human-readable description of the first malformed line.
+/// Returns a human-readable description of the first malformed line,
+/// with its line number.
 pub fn from_compact(text: &str) -> Result<CollectiveAlgorithm, String> {
-    use crate::algorithm::AlgorithmBuilder;
-    use crate::ChunkId;
-    use tacos_topology::{ByteSize, LinkId, NpuId};
-
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or("empty input")?;
     let h: Vec<&str> = header.split_whitespace().collect();
     if h.len() != 7 || h[0] != "tacos-algo" || h[1] != "v1" {
         return Err(format!("bad header: '{header}'"));
     }
-    let num = |s: &str, what: &str| -> Result<u64, String> {
-        s.parse::<u64>()
-            .map_err(|e| format!("bad {what} '{s}': {e}"))
-    };
-    let opt = |s: &str, what: &str| -> Result<Option<u64>, String> {
-        if s == "-" {
-            Ok(None)
-        } else {
-            num(s, what).map(Some)
-        }
-    };
-    let num_npus = num(h[3], "num_npus")? as usize;
+    // NPU ids are 32-bit.
+    let num_npus = parse_below(h[3], "num_npus", (1 << 32) + 1)? as usize;
     let mut b = AlgorithmBuilder::new(
         h[2],
         num_npus,
-        ByteSize::bytes(num(h[4], "chunk_size")?),
-        ByteSize::bytes(num(h[5], "total_size")?),
+        ByteSize::bytes(parse_u64(h[4], "chunk_size")?),
+        ByteSize::bytes(parse_u64(h[5], "total_size")?),
     );
-    let planned = opt(h[6], "planned_time")?;
+    let planned = (h[6] != "-")
+        .then(|| parse_u64(h[6], "planned_time"))
+        .transpose()?;
 
     let mut deps: Vec<TransferId> = Vec::new();
     for (lineno, line) in lines {
-        let mut f = [""; 9];
-        let mut fields = 0;
-        for field in line.split_whitespace() {
-            if let Some(slot) = f.get_mut(fields) {
-                *slot = field;
-            }
-            fields += 1;
-        }
-        if fields == 0 {
-            continue;
-        }
-        if fields != 9 {
-            return Err(format!(
-                "line {}: expected 9 fields, got {fields}",
-                lineno + 1
-            ));
-        }
-        let chunk = ChunkId::new(num(f[0], "chunk")? as u32);
-        let count = num(f[1], "count")? as u32;
-        let src = NpuId::new(num(f[2], "src")? as u32);
-        let dst = NpuId::new(num(f[3], "dst")? as u32);
-        let kind = match f[4] {
-            "C" => TransferKind::Copy,
-            "R" => TransferKind::Reduce,
-            other => return Err(format!("line {}: bad kind '{other}'", lineno + 1)),
-        };
-        let link = opt(f[5], "link")?.map(|l| LinkId::new(l as u32));
-        let start = opt(f[6], "start")?.map(Time::from_ps);
-        let duration = opt(f[7], "duration")?.map(Time::from_ps);
-        deps.clear();
-        if f[8] != "-" {
-            for d in f[8].split(',') {
-                deps.push(TransferId::new(num(d, "dep")? as u32));
-            }
-        }
-        match (link, start, duration) {
-            (Some(link), Some(start), Some(duration)) => {
-                b.push_scheduled(chunk, src, dst, kind, link, start, duration, &deps);
-            }
-            (Some(link), None, None) => {
-                b.push_on_link(chunk, count, src, dst, kind, link, &deps);
-            }
-            (None, None, None) => {
-                if count == 1 {
-                    b.push(chunk, src, dst, kind, &deps);
-                } else {
-                    b.push_counted(chunk, count, src, dst, kind, &deps);
-                }
-            }
-            _ => {
-                return Err(format!(
-                    "line {}: partial schedule (link/start/duration must come together)",
-                    lineno + 1
-                ))
-            }
-        }
+        push_compact_line(&mut b, num_npus, line, &mut deps)
+            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
     }
     if let Some(planned) = planned {
         b.planned_time(Time::from_ps(planned));
     }
     Ok(b.build())
+}
+
+/// Parses one transfer line of the compact format onto `b`; blank lines
+/// are skipped.
+fn push_compact_line(
+    b: &mut AlgorithmBuilder,
+    num_npus: usize,
+    line: &str,
+    deps: &mut Vec<TransferId>,
+) -> Result<(), String> {
+    const U32_LIMIT: u64 = 1 << 32;
+    let mut f = [""; 9];
+    let mut fields = 0;
+    for field in line.split_whitespace() {
+        if let Some(slot) = f.get_mut(fields) {
+            *slot = field;
+        }
+        fields += 1;
+    }
+    if fields == 0 {
+        return Ok(());
+    }
+    if fields != 9 {
+        return Err(format!("expected 9 fields, got {fields}"));
+    }
+    let chunk = ChunkId::new(parse_below(f[0], "chunk", U32_LIMIT)? as u32);
+    let count = parse_below(f[1], "count", U32_LIMIT)? as u32;
+    if count == 0 {
+        return Err("count 0: a transfer carries at least one chunk".into());
+    }
+    let src = NpuId::new(parse_below(f[2], "src", num_npus as u64)? as u32);
+    let dst = NpuId::new(parse_below(f[3], "dst", num_npus as u64)? as u32);
+    if src == dst {
+        return Err(format!("src and dst are both NPU {src}"));
+    }
+    let kind = match f[4] {
+        "C" => TransferKind::Copy,
+        "R" => TransferKind::Reduce,
+        other => return Err(format!("bad kind '{other}'")),
+    };
+    // The all-ones link and time values are the "unscheduled" sentinels.
+    let link = parse_opt(f[5], "link", u64::from(u32::MAX))?.map(|l| LinkId::new(l as u32));
+    let start = parse_opt(f[6], "start", u64::MAX)?.map(Time::from_ps);
+    let duration = parse_opt(f[7], "duration", u64::MAX)?.map(Time::from_ps);
+    deps.clear();
+    if f[8] != "-" {
+        // A dependency must name an earlier transfer.
+        let id = b.len() as u64;
+        for d in f[8].split(',') {
+            deps.push(TransferId::new(parse_below(d, "dep", id)? as u32));
+        }
+    }
+    match (link, start, duration) {
+        (Some(link), Some(start), Some(duration)) => {
+            if count != 1 {
+                return Err(format!("count {count} on a scheduled transfer (must be 1)"));
+            }
+            b.push_scheduled(chunk, src, dst, kind, link, start, duration, &*deps);
+        }
+        (Some(link), None, None) => {
+            b.push_on_link(chunk, count, src, dst, kind, link, &*deps);
+        }
+        (None, None, None) => {
+            if count == 1 {
+                b.push(chunk, src, dst, kind, &*deps);
+            } else {
+                b.push_counted(chunk, count, src, dst, kind, &*deps);
+            }
+        }
+        _ => return Err("partial schedule (link/start/duration must come together)".into()),
+    }
+    Ok(())
+}
+
+fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
+    s.parse::<u64>()
+        .map_err(|e| format!("bad {what} '{s}': {e}"))
+}
+
+/// Parses `s` and checks it is below `limit`.
+fn parse_below(s: &str, what: &str, limit: u64) -> Result<u64, String> {
+    let v = parse_u64(s, what)?;
+    if v < limit {
+        Ok(v)
+    } else {
+        Err(format!("{what} {v} out of range (must be below {limit})"))
+    }
+}
+
+/// [`parse_below`], or `None` for `-`.
+fn parse_opt(s: &str, what: &str, limit: u64) -> Result<Option<u64>, String> {
+    if s == "-" {
+        Ok(None)
+    } else {
+        parse_below(s, what, limit).map(Some)
+    }
 }
 
 fn kind_name(kind: TransferKind) -> &'static str {
@@ -354,9 +392,6 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::AlgorithmBuilder;
-    use crate::ChunkId;
-    use tacos_topology::{ByteSize, LinkId, NpuId, Time};
 
     fn algo() -> CollectiveAlgorithm {
         let mut b = AlgorithmBuilder::new("unit", 3, ByteSize::mb(1), ByteSize::mb(3));
@@ -475,5 +510,39 @@ mod tests {
         assert!(from_compact("tacos-algo v1 a 2 1 1 -\n1 1 0 1 X - - - -").is_err());
         assert!(from_compact("tacos-algo v1 a 2 1 1 -\n1 1 0 1 C 0 5 - -").is_err());
         assert!(from_compact("tacos-algo v1 a 2 1 1 -\n1 1 0 1 C").is_err());
+
+        // Parseable but invalid lines: each names its line and field.
+        let header = "tacos-algo v1 a 3 1 1 -";
+        let err = |body: &str| from_compact(&format!("{header}\n{body}")).unwrap_err();
+        let valid = "0 1 0 1 C - - - -";
+        assert!(from_compact(&format!("{header}\n{valid}")).is_ok());
+        for (line, needle) in [
+            ("0 1 3 1 C - - - -", "src 3 out of range"),
+            ("0 1 0 7 C - - - -", "dst 7 out of range"),
+            ("0 1 1 1 C - - - -", "both NPU"),
+            ("0 0 0 1 C - - - -", "count 0"),
+            (
+                "4294967296 1 0 1 C - - - -",
+                "chunk 4294967296 out of range",
+            ),
+            (
+                "0 4294967296 0 1 C - - - -",
+                "count 4294967296 out of range",
+            ),
+            ("0 1 0 1 C 4294967295 - - -", "link 4294967295 out of range"),
+            ("0 1 0 1 C 0 18446744073709551615 5 -", "start"),
+            ("0 1 0 1 C 0 5 18446744073709551615 -", "duration"),
+            ("0 1 0 1 C - - - 0", "dep 0 out of range"),
+            ("0 2 0 1 C 0 5 5 -", "scheduled transfer"),
+        ] {
+            let e = err(line);
+            assert!(e.starts_with("line 2: "), "{line}: {e}");
+            assert!(e.contains(needle), "{line}: {e}");
+        }
+        // A dependency must be strictly earlier, not the line itself.
+        let e = err(&format!("{valid}\n0 1 1 2 C - - - 1"));
+        assert!(e.starts_with("line 3: ") && e.contains("dep 1"), "{e}");
+        assert!(from_compact(&format!("{header}\n{valid}\n0 1 1 2 C - - - 0")).is_ok());
+        assert!(from_compact("tacos-algo v1 a 4294967297 1 1 -").is_err());
     }
 }

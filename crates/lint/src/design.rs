@@ -14,6 +14,12 @@
 //!   warm cache's `MATCHER_VERSION` fingerprint; each must reference it
 //!   (in code or docs) so nobody changes matching semantics without
 //!   confronting the version bump.
+//! * **Event-driven serving** — in the serving files (the panic-audit
+//!   set), a wait wakes on its event: a channel receive, a condvar, a
+//!   blocking accept, or `park`/`unpark`. A `thread::sleep` there is a
+//!   latency floor on every request that hits it, so each one is a
+//!   finding unless it is a deliberate delay (fault injection, client
+//!   retry backoff) annotated with `// lint: allow(design, "..")`.
 
 use crate::lexer::TokKind;
 use crate::source::SourceFile;
@@ -169,6 +175,38 @@ pub fn analyze_rename(f: &SourceFile) -> Vec<Finding> {
     out
 }
 
+/// Flags `sleep(..)` calls (`thread::sleep`, `std::thread::sleep`, or an
+/// imported `sleep`) outside test code in one serving file.
+pub fn analyze_sleep(f: &SourceFile) -> Vec<Finding> {
+    let toks = &f.toks;
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        let t = &toks[i];
+        let call = t.kind == TokKind::Ident
+            && t.text == "sleep"
+            && toks
+                .get(i + 1)
+                .is_some_and(|n| n.kind == TokKind::Punct && n.text == "(");
+        // `.sleep(` is some other type's method; `fn sleep(` defines one.
+        let other = i > 0 && matches!(toks[i - 1].text.as_str(), "." | "fn");
+        if !call || other || f.in_test_code(t.line) {
+            continue;
+        }
+        out.push(Finding {
+            rule: Rule::Design,
+            file: f.rel.clone(),
+            line: t.line,
+            token: "sleep".into(),
+            message: "`thread::sleep` on the serving path waits out a fixed tick instead of \
+                      waking on its event — block on the channel, condvar, accept, or \
+                      `park_timeout`, or justify a deliberate delay with \
+                      `// lint: allow(design, \"..\")`"
+                .into(),
+        });
+    }
+    out
+}
+
 /// Requires every matcher-kernel file to reference `MATCHER_VERSION`.
 pub fn analyze_matcher_version(files: &[SourceFile], kernel: &[String]) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -246,6 +284,17 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 3);
         assert!(f[0].message.contains("fn save"));
+    }
+
+    #[test]
+    fn sleep_calls_are_flagged_outside_tests() {
+        let src = "fn a() {\n  std::thread::sleep(d);\n}\n\
+                   fn b() {\n  sleep(d);\n  clock.sleep(d);\n}\n\
+                   fn sleep(d: u64) {}\n\
+                   #[cfg(test)]\nmod tests {\n  fn c() { thread::sleep(d); }\n}\n";
+        let f = analyze_sleep(&SourceFile::parse("crates/x/src/a.rs".into(), src.into()));
+        let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2, 5]);
     }
 
     #[test]

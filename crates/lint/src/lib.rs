@@ -9,8 +9,9 @@
 //!   `crates/serve`, with call-graph propagation and cycle reporting.
 //! * [`panics`] — panic-path audit of the designated serving modules.
 //! * [`unsafety`] — every `unsafe` needs an adjacent `// SAFETY:`.
-//! * [`design`] — dependency policy, durable-write pairing, and the
-//!   `MATCHER_VERSION` matcher-kernel rule.
+//! * [`design`] — dependency policy, durable-write pairing, the
+//!   `MATCHER_VERSION` matcher-kernel rule, and no `thread::sleep` on
+//!   the serving path.
 //!
 //! Output is deterministic (path-sorted, stable messages) so CI diffs
 //! are meaningful, and a committed count-ratcheted [`baseline`] lets
@@ -36,7 +37,8 @@ pub enum Rule {
     Panic,
     /// `unsafe` without `// SAFETY:`.
     Unsafe,
-    /// Dependency policy / durable writes / matcher fingerprint.
+    /// Dependency policy / durable writes / matcher fingerprint /
+    /// sleeps on the serving path.
     Design,
 }
 
@@ -74,7 +76,8 @@ pub struct Finding {
 pub struct Options {
     /// Workspace root to scan.
     pub root: PathBuf,
-    /// Files under the panic-path audit (repo-relative).
+    /// Files under the panic-path audit and the no-sleep rule
+    /// (repo-relative).
     pub panic_files: Vec<String>,
     /// Files that must reference `MATCHER_VERSION` (repo-relative).
     pub matcher_kernel_files: Vec<String>,
@@ -195,10 +198,11 @@ fn collect(opts: &Options) -> Result<(Vec<Finding>, usize, Stats), String> {
     stats.condvar_sites = lock_stats.condvar_sites;
     stats.edges = lock_stats.edges;
 
-    // Panic-path audit in the designated files.
+    // Panic-path audit and the no-sleep rule in the designated files.
     for f in &files {
         if opts.panic_files.iter().any(|p| p == &f.rel) {
             findings.extend(panics::analyze(f));
+            findings.extend(design::analyze_sleep(f));
         }
     }
 

@@ -61,7 +61,7 @@ fn broken_tree_fails_every_rule_with_location() {
                 && f.token == "malformed-allow"),
         "malformed allow"
     );
-    // The unwrap inside #[cfg(test)] must NOT be flagged.
+    // The unwrap and sleep inside #[cfg(test)] must NOT be flagged.
     assert!(
         !out.findings
             .iter()
@@ -69,6 +69,10 @@ fn broken_tree_fails_every_rule_with_location() {
         "test-code unwrap leaked: {:?}",
         out.findings
     );
+
+    // No-sleep rule on the serving path (the test-code sleep in
+    // daemon.rs is covered by the line > 12 check above).
+    assert!(has(Rule::Design, "crates/serve/src/client.rs", 6), "sleep");
 
     // Unsafe hygiene.
     assert!(has(Rule::Unsafe, "crates/core/src/raw.rs", 4), "unsafe");

@@ -21,8 +21,11 @@
 //!    its valid prefix: a restarted daemon serves every salvaged key
 //!    from cache and resynthesizes only the torn one.
 //! 4. **Oversized-line protection** — a 10 MiB request line gets a typed
-//!    `error` and a closed connection, with the daemon's memory
-//!    footprint unaffected (checked via `/proc/self/statm` on Linux).
+//!    `error` and a closed connection, and the daemon never buffers more
+//!    than the line cap plus one read of it (the
+//!    `line_buffer_peak_bytes` gauge in `stats`). The gauge belongs to
+//!    the daemon alone, so other daemons in the same process cannot
+//!    disturb the check.
 //! 5. **Overload & retry** — a burst against a tiny queue is partially
 //!    rejected with `retry_after_ms` hints, and every request finishes
 //!    `ok` within a bounded retry budget; over-cap connections get one
@@ -132,18 +135,6 @@ fn call(client: &mut Client, line: &str) -> Result<Json, String> {
 
 fn temp_dir(seed: u64) -> PathBuf {
     std::env::temp_dir().join(format!("tacos-chaos-{seed}-{}", std::process::id()))
-}
-
-#[cfg(target_os = "linux")]
-fn rss_bytes() -> Option<u64> {
-    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
-    let resident_pages: u64 = statm.split_whitespace().nth(1)?.parse().ok()?;
-    Some(resident_pages * 4096)
-}
-
-#[cfg(not(target_os = "linux"))]
-fn rss_bytes() -> Option<u64> {
-    None
 }
 
 /// Runs the full chaos suite under the seed's fault plan. Returns what
@@ -390,19 +381,19 @@ fn salvage_phase(options: &ChaosOptions, dir: &Path, checks: &mut Checks) -> Res
 }
 
 /// Phase 4: a 10 MiB request line is refused with a typed error, the
-/// connection is closed, and daemon memory stays flat.
+/// connection is closed, and the daemon's line buffer stays bounded.
 fn oversized_line_phase(checks: &mut Checks) -> Result<(), String> {
-    let daemon = Daemon::spawn(DaemonConfig {
+    let config = DaemonConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         quiet: true,
         ..DaemonConfig::default()
-    })
-    .map_err(|e| format!("spawn: {e}"))?;
+    };
+    let max_line_bytes = config.max_line_bytes as u64;
+    let daemon = Daemon::spawn(config).map_err(|e| format!("spawn: {e}"))?;
     let mut client = connect(&daemon.addr().to_string())?;
 
     let oversized = "x".repeat(10 << 20);
-    let rss_before = rss_bytes();
     let response = call(&mut client, &oversized)?;
     checks.ensure(
         status(&response) == Some("error") && reason(&response).contains("exceeds"),
@@ -415,16 +406,14 @@ fn oversized_line_phase(checks: &mut Checks) -> Result<(), String> {
         "the connection is closed after an oversized line",
         &followup.map(|r| r.to_string()),
     )?;
-    // Let the connection thread finish and free its bounded buffer.
-    std::thread::sleep(Duration::from_millis(200));
-    if let (Some(before), Some(after)) = (rss_before, rss_bytes()) {
-        checks.ensure(
-            after.saturating_sub(before) < 8 << 20,
-            "daemon RSS is unaffected by the oversized line (bounded buffering)",
-            &(before, after),
-        )?;
-    }
-    drop(oversized);
+    // The buffer filled past the cap (so the gauge saw the line) and
+    // stopped there: nowhere near the 10 MiB the client sent.
+    let peak = daemon.stats().line_buffer_peak_bytes;
+    checks.ensure(
+        peak > max_line_bytes && peak < 8 << 20,
+        "the daemon buffers an oversized line only up to its cap (bounded buffering)",
+        &(peak, max_line_bytes),
+    )?;
     daemon.stop().map_err(|e| format!("stop: {e}"))?;
     Ok(())
 }

@@ -96,7 +96,7 @@ impl Client {
                     if std::time::Instant::now() >= deadline {
                         return Err(e);
                     }
-                    std::thread::sleep(Duration::from_millis(50));
+                    std::thread::sleep(Duration::from_millis(50)); // lint: allow(design, "client reconnect backoff while the daemon binds")
                 }
             }
         }
@@ -159,13 +159,16 @@ impl Client {
                         });
                     }
                     let hint = response.get("retry_after_ms").and_then(Json::as_u64);
-                    std::thread::sleep(policy.delay(attempt, hint, jitter_seed(attempt)));
+                    let backoff = policy.delay(attempt, hint, jitter_seed(attempt));
+                    std::thread::sleep(backoff); // lint: allow(design, "client retry backoff honoring retry_after_ms")
                 }
                 Err(e) => {
                     if attempt == policy.max_retries {
                         return Err(e);
                     }
-                    std::thread::sleep(policy.delay(attempt, None, jitter_seed(attempt)));
+                    let backoff = policy.delay(attempt, None, jitter_seed(attempt));
+                    std::thread::sleep(backoff); // lint: allow(design, "client retry backoff after a failed call")
+
                     // The daemon may have closed this connection
                     // (connection cap, oversized line): reconnect.
                     if let Ok(fresh) = Client::connect(&self.addr) {

@@ -1,9 +1,10 @@
 //! The serving daemon: accept loop, bounded worker pool, single-flight
 //! deduplication, and warm-cache persistence.
 //!
-//! Threading model (std only — no async runtime):
+//! Threading model (std only — no async runtime). Every wait on the
+//! request path wakes on its event, not on a polling tick:
 //!
-//! * one **accept thread** polls a non-blocking [`TcpListener`], enforces
+//! * one **accept thread** blocks in [`TcpListener::accept`], enforces
 //!   the connection cap (over-cap clients get one typed `rejected` line
 //!   with a retry hint), and spawns a connection thread per client;
 //! * **connection threads** parse request lines through a bounded line
@@ -17,7 +18,9 @@
 //!   [`std::sync::mpsc::sync_channel`] of configurable depth: when it is
 //!   full the leader's `try_send` fails and every waiter on that flight
 //!   receives a typed `rejected` response instead of queueing unbounded
-//!   work. A **supervisor thread** respawns workers killed by a
+//!   work. An idle worker blocks on the channel and takes a job the
+//!   moment it is sent. A **supervisor thread** starts the pool, sleeps
+//!   until a dying worker wakes it, respawns workers killed by a
 //!   synthesis panic (the panic fails only its own flight) and counts
 //!   the restarts in `stats`;
 //! * an optional **checkpoint thread** persists the warm cache every
@@ -25,22 +28,26 @@
 //!   temp+fsync+rename path as shutdown, so a SIGKILL loses at most one
 //!   interval of entries.
 //!
-//! Every blocking wait is a timeout poll against the handle's stop flag,
-//! so `SIGINT` (via [`tacos_core::shutdown`]) or a `shutdown` op drains
-//! the daemon within ~100 ms and the warm cache is persisted on the way
-//! out.
+//! [`DaemonHandle::stop`] (after `SIGINT` via [`tacos_core::shutdown`],
+//! or a `shutdown` op) sets the stop flag and wakes every thread on its
+//! own event: closing the job channel releases idle workers, an unpark
+//! releases the supervisor and checkpointer, and one loopback connection
+//! to the bound port releases the blocking `accept`. Only connection
+//! threads still notice the flag on a tick — their [`READ_POLL`] read
+//! timeout, which the idle-timeout check needs anyway. The warm cache
+//! is persisted on the way out.
 //!
 //! All of the failure paths above are exercised deterministically by
 //! [`crate::FaultPlan`] (the `--faults` flag) and asserted by
 //! `tacos chaos`.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::thread::{self, JoinHandle};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use tacos_baselines::{BaselineAlgorithm, IdealBound};
@@ -60,11 +67,18 @@ use crate::protocol::{OkBody, Op, Request, Response, StatsBody};
 /// File name of the warm-cache snapshot inside `--cache-dir`.
 pub const SNAPSHOT_FILE: &str = "warm.tacos-cache";
 
-/// How long blocking loops sleep between stop-flag checks.
+/// Bound on the waits that also re-check the stop flag: an idle
+/// worker's channel receive, the accept-error backoff, and the slices
+/// of an injected stall.
 const POLL: Duration = Duration::from_millis(25);
 
-/// Read timeout on client connections; bounds shutdown latency.
+/// Read timeout on client connections; bounds shutdown latency and is
+/// the tick of the idle-timeout check.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// How long [`DaemonHandle::stop`] tries to connect to its own listener
+/// to wake the accept thread.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Per-connection line buffers shrink back to this capacity after each
 /// request, so one large (but admissible) request doesn't pin its peak
@@ -167,15 +181,25 @@ struct Counters {
     errors: AtomicU64,
     worker_restarts: AtomicU64,
     checkpoints: AtomicU64,
+    /// High-water gauge: the most bytes any connection's line buffer
+    /// has held.
+    line_buffer_peak: AtomicU64,
 }
 
 /// Decrements a liveness counter when its scope ends — however the
-/// scope ends, including a panic unwinding through it.
-struct AliveGuard<'a>(&'a AtomicUsize);
+/// scope ends, including a panic unwinding through it — and then wakes
+/// the thread watching that counter, if any.
+struct AliveGuard<'a> {
+    count: &'a AtomicUsize,
+    watcher: Option<Thread>,
+}
 
 impl Drop for AliveGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        self.count.fetch_sub(1, Ordering::Relaxed);
+        if let Some(watcher) = &self.watcher {
+            watcher.unpark();
+        }
     }
 }
 
@@ -260,6 +284,7 @@ impl ServerState {
             warm_entries: self.warm.len() as u64,
             evictions: self.warm.evictions(),
             resident_bytes: self.warm.resident_bytes(),
+            line_buffer_peak_bytes: c.line_buffer_peak.load(Ordering::Relaxed),
         }
     }
 }
@@ -371,7 +396,6 @@ impl Daemon {
         };
 
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let queue_depth = config.queue_depth.max(1);
@@ -402,12 +426,7 @@ impl Daemon {
             quiet: config.quiet,
         });
 
-        let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(
-            (0..target_workers)
-                .map(|_| spawn_worker(&state, &rx))
-                .collect(),
-        ));
-
+        let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let supervisor = {
             let state = Arc::clone(&state);
             let rx = Arc::clone(&rx);
@@ -466,20 +485,24 @@ impl DaemonHandle {
         self.state.stats()
     }
 
-    /// Stops the daemon: joins the accept loop, supervisor, workers,
-    /// checkpointer, and connection threads, then persists the warm
-    /// cache. Returns the number of entries written (0 without a cache
-    /// directory).
+    /// Stops the daemon: wakes and joins the accept loop, supervisor,
+    /// workers, checkpointer, and connection threads, then persists the
+    /// warm cache. Returns the number of entries written (0 without a
+    /// cache directory).
     pub fn stop(mut self) -> io::Result<usize> {
         self.state.stop.store(true, Ordering::Relaxed);
-        // Closing the channel lets idle workers exit immediately.
+        // Closing the channel wakes idle workers: their receive returns
+        // `Disconnected` once the queue is drained.
         self.state
             .jobs
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .take();
+        for parked in [&self.supervisor, &self.checkpointer].into_iter().flatten() {
+            parked.thread().unpark();
+        }
         if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+            self.join_accept(accept);
         }
         // The supervisor first, so nothing respawns while we drain.
         if let Some(supervisor) = self.supervisor.take() {
@@ -504,29 +527,76 @@ impl DaemonHandle {
         }
         Ok(persisted)
     }
+
+    /// Wakes the accept thread out of its blocking `accept` with one
+    /// loopback connection (the loop checks the stop flag after every
+    /// accept) and joins it. If that connection cannot be made while the
+    /// thread still runs, the thread is left detached instead, so `stop`
+    /// cannot hang on it.
+    fn join_accept(&self, accept: JoinHandle<()>) {
+        accept.thread().unpark(); // cuts an accept-error backoff short
+        let wake = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
+        match wake {
+            Err(e) if !accept.is_finished() => self.state.notice(&format!(
+                "could not wake the accept thread ({e}); leaving it detached"
+            )),
+            _ => {
+                let _ = accept.join();
+            }
+        }
+    }
 }
 
-fn spawn_worker(state: &Arc<ServerState>, rx: &Arc<Mutex<mpsc::Receiver<Job>>>) -> JoinHandle<()> {
+/// The address a loopback connection reaches a listener bound to
+/// `bound` at: `bound` itself, or loopback in the same address family
+/// when the listener is on the unspecified address (`0.0.0.0`, `[::]`).
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+fn spawn_worker(
+    state: &Arc<ServerState>,
+    rx: &Arc<Mutex<mpsc::Receiver<Job>>>,
+    supervisor: &Thread,
+) -> JoinHandle<()> {
     // Counted before the thread exists so the supervisor never sees a
     // just-spawned worker as missing.
     state.live_workers.fetch_add(1, Ordering::Relaxed);
     let state = Arc::clone(state);
     let rx = Arc::clone(rx);
+    let supervisor = supervisor.clone();
     thread::spawn(move || {
-        let _alive = AliveGuard(&state.live_workers);
+        let _alive = AliveGuard {
+            count: &state.live_workers,
+            watcher: Some(supervisor),
+        };
         worker_loop(&state, &rx);
     })
 }
 
-/// Keeps the worker pool at full strength: a synthesis panic kills its
-/// worker thread (deliberately — the replacement gets pristine scratch
-/// state), and this loop respawns it and counts the restart.
+/// Starts the worker pool and keeps it at full strength: a synthesis
+/// panic kills its worker thread (deliberately — the replacement gets
+/// pristine scratch state), the dying worker's [`AliveGuard`] wakes this
+/// thread, and it respawns the worker and counts the restart.
 fn supervisor_loop(
     state: &Arc<ServerState>,
     rx: &Arc<Mutex<mpsc::Receiver<Job>>>,
     workers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
+    let me = thread::current();
+    workers
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .extend((0..state.target_workers).map(|_| spawn_worker(state, rx, &me)));
     loop {
+        // Woken by a dying worker or by `stop`; a spurious wakeup only
+        // costs one pass over the checks below.
+        thread::park();
         if state.stopping() {
             return;
         }
@@ -552,15 +622,14 @@ fn supervisor_loop(
                 }
             }
             for _ in 0..missing {
-                guard.push(spawn_worker(state, rx));
+                guard.push(spawn_worker(state, rx, &me));
             }
         }
-        thread::sleep(POLL);
     }
 }
 
-/// Persists the warm cache every `every`, sleeping in stop-checked
-/// slices so shutdown is never blocked on a checkpoint interval.
+/// Persists the warm cache every `every`, parked in between; `stop`
+/// unparks it, so shutdown is never blocked on a checkpoint interval.
 fn checkpoint_loop(state: &Arc<ServerState>, every: Duration) {
     loop {
         let deadline = Instant::now() + every;
@@ -572,7 +641,7 @@ fn checkpoint_loop(state: &Arc<ServerState>, every: Duration) {
             if left.is_zero() {
                 break;
             }
-            thread::sleep(left.min(POLL));
+            thread::park_timeout(left);
         }
         match state.persist() {
             Ok(written) => {
@@ -591,10 +660,13 @@ fn accept_loop(
     conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     loop {
+        let accepted = listener.accept();
+        // `stop` sets the flag before it wakes this thread with a
+        // loopback connection, which must not be served.
         if state.stopping() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((mut stream, _)) => {
                 let conn_index = state.conn_seq.fetch_add(1, Ordering::Relaxed) + 1;
                 if state.live_conns.load(Ordering::Relaxed) >= state.max_connections {
@@ -620,10 +692,11 @@ fn accept_loop(
                     .unwrap_or_else(PoisonError::into_inner)
                     .push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
             Err(e) => {
                 state.notice(&format!("accept error: {e}"));
-                thread::sleep(POLL);
+                // Back off so a lasting error (out of file descriptors,
+                // say) cannot spin this loop; `stop` unparks it.
+                thread::park_timeout(POLL);
             }
         }
     }
@@ -722,7 +795,10 @@ fn drain_rejected_line(reader: &mut BufReader<TcpStream>) {
 }
 
 fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, conn_index: u64) {
-    let _alive = AliveGuard(&state.live_conns);
+    let _alive = AliveGuard {
+        count: &state.live_conns,
+        watcher: None,
+    };
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
@@ -738,7 +814,13 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, conn_index: u64)
     let mut buf: Vec<u8> = Vec::new();
     let mut last_request = Instant::now();
     loop {
-        match read_bounded_line(&mut reader, &mut buf, state.max_line_bytes) {
+        let event = read_bounded_line(&mut reader, &mut buf, state.max_line_bytes);
+        let held = buf.len() as u64;
+        let peak = &state.counters.line_buffer_peak;
+        if held > peak.load(Ordering::Relaxed) {
+            peak.fetch_max(held, Ordering::Relaxed);
+        }
+        match event {
             ReadEvent::Line => {
                 {
                     let line = String::from_utf8_lossy(&buf);
@@ -746,7 +828,7 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, conn_index: u64)
                     if !trimmed.is_empty() {
                         let response = handle_line(state, trimmed);
                         if let Some(delay) = response_delay {
-                            thread::sleep(delay);
+                            thread::sleep(delay); // lint: allow(design, "injected per-connection response delay, a deliberate chaos fault")
                         }
                         if writer.write_all(response.line().as_bytes()).is_err()
                             || writer.flush().is_err()
@@ -1079,9 +1161,12 @@ fn ok_body(
 fn worker_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<mpsc::Receiver<Job>>>) {
     let mut scratch = SynthesisScratch::new();
     loop {
+        // Idle workers queue on the receiver lock; the one holding it
+        // blocks on the channel and takes the next job the moment it is
+        // sent.
         let job = {
             let rx = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            rx.try_recv()
+            rx.recv_timeout(POLL)
         };
         match job {
             Ok(job) => {
@@ -1092,13 +1177,13 @@ fn worker_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<mpsc::Receiver<Job>>>) {
                     return;
                 }
             }
-            Err(mpsc::TryRecvError::Empty) => {
+            Err(mpsc::RecvTimeoutError::Timeout) => {
                 if state.stopping() {
                     return;
                 }
-                thread::sleep(Duration::from_millis(5));
             }
-            Err(mpsc::TryRecvError::Disconnected) => return,
+            // `stop` dropped the sender.
+            Err(mpsc::RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -1123,7 +1208,7 @@ fn run_job(state: &Arc<ServerState>, job: Job, scratch: &mut SynthesisScratch) -
             if left.is_zero() || state.stopping() {
                 break;
             }
-            thread::sleep(left.min(POLL));
+            thread::sleep(left.min(POLL)); // lint: allow(design, "injected job stall, a deliberate chaos fault")
         }
     }
     let started = Instant::now();
@@ -1191,4 +1276,25 @@ fn generate(
             .collective_time(),
     };
     Ok((algo, time))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wake_addr;
+
+    #[test]
+    fn wake_addr_maps_the_unspecified_address_to_loopback_of_its_family() {
+        for (bound, wake) in [
+            ("0.0.0.0:7440", "127.0.0.1:7440"),
+            ("[::]:7440", "[::1]:7440"),
+            ("10.1.2.3:7440", "10.1.2.3:7440"),
+            ("[::1]:7440", "[::1]:7440"),
+        ] {
+            assert_eq!(
+                wake_addr(bound.parse().unwrap()),
+                wake.parse().unwrap(),
+                "{bound}"
+            );
+        }
+    }
 }

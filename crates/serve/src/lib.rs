@@ -5,7 +5,7 @@
 //! requests — the pattern a training-cluster scheduler produces —
 //! amortize synthesis cost across clients and process restarts.
 //!
-//! The daemon is plain std: a non-blocking accept loop, a bounded
+//! The daemon is plain std: a blocking accept loop, a bounded
 //! synthesis worker pool with admission control and a panic-respawning
 //! supervisor, single-flight deduplication of concurrent identical
 //! requests (one synthesis, N responses), per-request deadlines,

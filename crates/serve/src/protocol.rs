@@ -232,6 +232,10 @@ pub struct StatsBody {
     pub evictions: u64,
     /// Approximate bytes of the resident warm-cache set.
     pub resident_bytes: u64,
+    /// The most request bytes any one connection has buffered while
+    /// reading a line: bounded by the line cap plus one read, however
+    /// long a line the client sends.
+    pub line_buffer_peak_bytes: u64,
 }
 
 /// One response line.
@@ -322,6 +326,7 @@ impl Response {
                     ("warm_entries", s.warm_entries.into()),
                     ("evictions", s.evictions.into()),
                     ("resident_bytes", s.resident_bytes.into()),
+                    ("line_buffer_peak_bytes", s.line_buffer_peak_bytes.into()),
                 ],
             ),
             Response::Pong(id) => (*id, vec![("status", "pong".into())]),
