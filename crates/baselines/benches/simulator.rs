@@ -1,9 +1,12 @@
 //! Criterion microbenchmark: congestion-aware simulator event throughput
-//! on the Ring All-Reduce (2n(n-1) dependent messages).
+//! on the Ring All-Reduce (2n(n-1) dependent, routed messages) and on the
+//! planned replay of a TACOS All-Reduce schedule (one message per
+//! transfer, served in planned order).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tacos_baselines::{BaselineAlgorithm, BaselineKind};
-use tacos_collective::Collective;
+use tacos_collective::{Collective, CollectivePattern};
+use tacos_core::{Synthesizer, SynthesizerConfig};
 use tacos_sim::Simulator;
 use tacos_topology::{ByteSize, RingOrientation, Topology};
 
@@ -29,6 +32,20 @@ fn bench_simulator(c: &mut Criterion) {
             b.iter(|| sim.simulate(&topo, &algo).unwrap().collective_time())
         });
     }
+    // A 64-NPU mesh All-Reduce at 4 chunks per NPU: 32,256 scheduled
+    // transfers whose dependencies follow the chunk-arrival rule.
+    let mesh = Topology::mesh_2d(8, 8, default_spec()).unwrap();
+    let coll =
+        Collective::with_chunking(CollectivePattern::AllReduce, 64, 4, ByteSize::gb(1)).unwrap();
+    let algo = Synthesizer::new(SynthesizerConfig::default().with_seed(1))
+        .synthesize(&mesh, &coll)
+        .unwrap()
+        .into_algorithm();
+    let id = BenchmarkId::new("tacos_replay_mesh_all_reduce_c4", 64);
+    group.bench_with_input(id, &64, |b, _| {
+        let sim = Simulator::new();
+        b.iter(|| sim.simulate(&mesh, &algo).unwrap().collective_time())
+    });
     group.finish();
 }
 

@@ -498,9 +498,8 @@ fn serve_command(args: &[String]) -> Result<(), CliError> {
             handle.addr()
         );
     }
-    while !tacos_core::shutdown::requested() && !handle.stop_requested() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
+    // SIGINT/SIGTERM and the `shutdown` op both end up in one wake-up.
+    tacos_core::shutdown::wait();
     let stats = handle.stats();
     handle
         .stop()

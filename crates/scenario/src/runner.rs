@@ -33,7 +33,7 @@ use tacos_collective::algorithm::CollectiveAlgorithm;
 use tacos_collective::{Collective, CollectivePattern};
 use tacos_core::{AlgorithmCache, CacheOutcome, SynthesisScratch, Synthesizer, SynthesizerConfig};
 use tacos_report::{to_csv, Json};
-use tacos_sim::{LinkLoadStats, SimReport, Simulator, TimelineSegment};
+use tacos_sim::{LinkLoadStats, SimConfig, SimReport, Simulator, TimelineSegment};
 use tacos_topology::{Time, Topology};
 use tacos_workload::{Mechanism, TrainingEvaluator, TrainingReport, Workload, WorkloadError};
 
@@ -1156,7 +1156,9 @@ fn execute_training_point(
                     };
                     synthesis_seconds += started.elapsed().as_secs_f64();
                     transfers += algorithm.len() as u64;
-                    Ok(Simulator::new()
+                    // Only the time is read: skip recording busy intervals.
+                    let sim = SimConfig::default().with_record_intervals(false);
+                    Ok(Simulator::with_config(sim)
                         .simulate(topo, &algorithm)?
                         .collective_time())
                 }

@@ -47,7 +47,7 @@ use tacos_report::Json;
 
 use crate::client::{Client, RetryPolicy};
 use crate::daemon::{Daemon, DaemonConfig, SNAPSHOT_FILE};
-use crate::faults::FaultPlan;
+use crate::faults::{self, FaultPlan};
 
 /// `tacos chaos` settings.
 #[derive(Debug, Clone)]
@@ -140,6 +140,7 @@ fn temp_dir(seed: u64) -> PathBuf {
 /// Runs the full chaos suite under the seed's fault plan. Returns what
 /// passed, or the first violated invariant as a readable error.
 pub fn run(options: &ChaosOptions) -> Result<ChaosReport, String> {
+    faults::quiet_injected_panics();
     let plan = FaultPlan::from_seed(options.seed);
     let mut checks = Checks {
         passed: Vec::new(),

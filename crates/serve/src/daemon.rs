@@ -58,10 +58,10 @@ use tacos_core::{
     SynthesizerConfig, WarmCache, WarmEntry, WarmLimits,
 };
 use tacos_scenario::{parse_pattern, parse_size, parse_topology, Mechanism};
-use tacos_sim::Simulator;
+use tacos_sim::{SimConfig, Simulator};
 use tacos_topology::{Time, Topology};
 
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, INJECTED_FAULT};
 use crate::protocol::{OkBody, Op, Request, Response, StatsBody};
 
 /// File name of the warm-cache snapshot inside `--cache-dir`.
@@ -261,7 +261,7 @@ impl ServerState {
             self.warm.save_interrupted_to(&path)?;
             return Err(io::Error::new(
                 io::ErrorKind::Interrupted,
-                format!("injected fault: checkpoint {attempt} aborted mid-write"),
+                format!("{INJECTED_FAULT} checkpoint {attempt} aborted mid-write"),
             ));
         }
         let written = self.warm.save_to(path)?;
@@ -910,6 +910,8 @@ fn handle_line(state: &Arc<ServerState>, line: &str) -> Response {
         },
         Op::Shutdown => {
             state.stop.store(true, Ordering::Relaxed);
+            // Wakes an owner blocked in `tacos_core::shutdown::wait`.
+            tacos_core::shutdown::trigger();
             Response::ShuttingDown(req.id)
         }
         Op::Synthesize => match synthesize(state, &req) {
@@ -1214,7 +1216,7 @@ fn run_job(state: &Arc<ServerState>, job: Job, scratch: &mut SynthesisScratch) -
     let started = Instant::now();
     let generated = catch_unwind(AssertUnwindSafe(|| {
         if injected_panic {
-            panic!("injected fault: synthesis panic on job {index}"); // lint: allow(panic, "deliberate chaos fault, caught by the catch_unwind below")
+            panic!("{INJECTED_FAULT} synthesis panic on job {index}"); // lint: allow(panic, "deliberate chaos fault, caught by the catch_unwind below")
         }
         generate(&topo, &collective, &mechanism, scratch)
     }));
@@ -1270,7 +1272,8 @@ fn generate(
     };
     let time = match algo.planned_time() {
         Some(time) => time,
-        None => Simulator::new()
+        // Only the time is read: skip recording busy intervals.
+        None => Simulator::with_config(SimConfig::default().with_record_intervals(false))
             .simulate(topo, &algo)
             .map_err(|e| e.to_string())?
             .collective_time(),

@@ -13,8 +13,41 @@
 //! hand-driven experiments, and [`FaultPlan::from_seed`] for chaos runs
 //! that want variety across seeds without giving up determinism.
 
+use std::any::Any;
 use std::fmt;
+use std::panic::{self, PanicHookInfo};
+use std::sync::Once;
 use std::time::Duration;
+
+/// How every injected failure's message begins, panics included.
+pub const INJECTED_FAULT: &str = "injected fault:";
+
+/// Whether a panic payload is an injected fault's (a `&str` or `String`
+/// starting with [`INJECTED_FAULT`]).
+fn is_injected(payload: &(dyn Any + Send)) -> bool {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    message.is_some_and(|m| m.starts_with(INJECTED_FAULT))
+}
+
+/// Installs, once per process, a panic hook that drops the report of an
+/// injected panic and hands every other panic to the hook that was in
+/// place before. Injected panics are caught and counted by the daemon;
+/// their default report on stderr is noise, while a real panic must
+/// still report.
+pub fn quiet_injected_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = panic::take_hook();
+        panic::set_hook(Box::new(move |info: &PanicHookInfo<'_>| {
+            if !is_injected(info.payload()) {
+                previous(info);
+            }
+        }));
+    });
+}
 
 /// What a [`FaultPlan`] injects into a specific synthesis job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,6 +245,42 @@ impl fmt::Display for FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quiet_hook_drops_injected_panics_and_forwards_the_rest() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::thread;
+        // A stand-in "previous" hook counting this thread's reports; the
+        // filter installed next wraps it (no other test installs one).
+        static FORWARDED: AtomicUsize = AtomicUsize::new(0);
+        let me = thread::current().id();
+        let outer = panic::take_hook();
+        panic::set_hook(Box::new(move |info: &PanicHookInfo<'_>| {
+            if thread::current().id() == me {
+                FORWARDED.fetch_add(1, Ordering::SeqCst);
+            } else {
+                outer(info);
+            }
+        }));
+        quiet_injected_panics();
+        let job = 4;
+        assert!(
+            panic::catch_unwind(|| panic!("{INJECTED_FAULT} synthesis panic on job {job}"))
+                .is_err()
+        );
+        assert!(panic::catch_unwind(|| panic!("injected fault: literal")).is_err());
+        assert_eq!(
+            FORWARDED.load(Ordering::SeqCst),
+            0,
+            "injected panics are dropped"
+        );
+        assert!(panic::catch_unwind(|| panic!("index out of bounds: {job}")).is_err());
+        assert_eq!(
+            FORWARDED.load(Ordering::SeqCst),
+            1,
+            "real panics still report"
+        );
+    }
 
     #[test]
     fn specs_round_trip_through_display() {

@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod queue;
 mod report;
 mod simulator;
 

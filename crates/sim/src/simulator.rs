@@ -1,22 +1,50 @@
 //! The congestion-aware analytical network simulator (paper §V-C).
 //!
+//! # Model
+//!
 //! Models exactly what the paper's ASTRA-sim backend models, at first
 //! order: every link has a message queue and processes **one message at a
-//! time** (`α + β·size` each), first-come-first-served; contending messages
-//! therefore serialize — the mechanism behind the oversubscription heat
-//! maps of Figs. 1 and 15b. Transfers between NPUs that share no physical
-//! link are routed over static α–β-shortest paths (store-and-forward per
-//! hop), which is how topology-unaware baselines like Direct-on-a-Ring pay
-//! for their assumptions.
+//! time** (`α + β·size` each); contending messages therefore serialize —
+//! the mechanism behind the oversubscription heat maps of Figs. 1 and 15b.
+//! Transfers between NPUs that share no physical link are routed over
+//! static α–β-shortest paths, hop by hop, which is how topology-unaware
+//! baselines like Direct-on-a-Ring pay for their assumptions.
+//!
+//! A link serves its queue first-come-first-served, unless the algorithm
+//! carries a schedule: then messages are served in planned-start order and
+//! none starts before its plan, so replaying a TACOS schedule reproduces
+//! its planned times exactly. Ties go to the earlier arrival.
+//!
+//! # Engine
+//!
+//! A discrete-event loop over two events per hop: *release* (the message
+//! joins its link's queue) and *complete* (the link finishes sending it,
+//! which releases the next hop or, on the last hop, the transfer's
+//! dependents). Three flat structures carry it:
+//!
+//! * the event list is a monotone radix queue (`queue.rs`) keyed by
+//!   picosecond time. Events at one instant are handled in the order they
+//!   were scheduled, exactly as a binary heap keyed `(time, sequence)`
+//!   would handle them, at a fraction of the cost;
+//! * the hop table resolves every transfer to a range of one shared link
+//!   array: a scheduled transfer's range is its own link, and each routed
+//!   `(src, dst)` pair is walked through the [`RoutingTable`] once, however
+//!   many transfers take it;
+//! * dependents are one CSR of reverse dependency edges, and planned starts
+//!   are read from the transfers themselves.
+//!
+//! Each link's queue is a binary heap keyed `(planned start, ready time,
+//! arrival sequence)`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use tacos_collective::algorithm::CollectiveAlgorithm;
-use tacos_topology::routing::{route_path, RoutingTable};
-use tacos_topology::{LinkId, Time, Topology};
+use tacos_collective::algorithm::{CollectiveAlgorithm, Transfer};
+use tacos_topology::routing::{append_route, RoutingTable};
+use tacos_topology::{ByteSize, LinkId, Time, Topology};
 
 use crate::error::SimError;
+use crate::queue::RadixQueue;
 use crate::report::{BusyInterval, SimReport};
 
 /// How multi-hop routed messages pay the per-message latency α.
@@ -124,21 +152,203 @@ struct Message {
     hop: u32,
 }
 
-/// Queue priority: planned start (or MAX), ready time, sequence.
+/// Link queue priority: planned start (or MAX), ready time, arrival
+/// sequence.
 type Priority = (u64, u64, u64);
 
-/// Simulation events: a message becomes eligible at a link, or a link
-/// finishes transmitting a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A simulation event: a message becomes eligible at its hop's link, or
+/// that link finishes transmitting it.
+#[derive(Debug, Clone, Copy)]
 enum Event {
     Release(Message),
-    Complete(Message, LinkId),
+    Complete(Message),
 }
 
+/// Every transfer's hop sequence: transfer `t` crosses
+/// `links[spans[t].0 as usize..][..spans[t].1 as usize]`. `links` opens
+/// with every topology link in id order, which is where a scheduled
+/// transfer's one hop points; each distinct routed path follows once.
+struct HopTable {
+    spans: Vec<(u32, u32)>,
+    links: Vec<LinkId>,
+}
+
+impl HopTable {
+    /// Resolves every transfer, checking scheduled links against the
+    /// topology and routing the rest over shortest paths.
+    fn new(
+        topo: &Topology,
+        transfers: &[Transfer],
+        chunk_size: ByteSize,
+    ) -> Result<Self, SimError> {
+        let n = topo.num_npus();
+        let mut links: Vec<LinkId> = (0..topo.num_links() as u32).map(LinkId::new).collect();
+        let mut spans = Vec::with_capacity(transfers.len());
+        let mut table = None;
+        // Span of each routed path, by `dst * n + src`; length 0 = not yet
+        // resolved (every path has a hop, since endpoints differ).
+        let mut routed: Vec<(u32, u32)> = Vec::new();
+        for (i, t) in transfers.iter().enumerate() {
+            let span = match t.link() {
+                Some(link_id) => {
+                    if link_id.index() >= topo.num_links() {
+                        return Err(SimError::BadLink {
+                            transfer: i,
+                            reason: format!("link {link_id} does not exist"),
+                        });
+                    }
+                    let link = topo.link(link_id);
+                    if link.src() != t.src() || link.dst() != t.dst() {
+                        return Err(SimError::BadLink {
+                            transfer: i,
+                            reason: format!(
+                                "endpoints {} -> {} do not match link {} -> {}",
+                                t.src(),
+                                t.dst(),
+                                link.src(),
+                                link.dst()
+                            ),
+                        });
+                    }
+                    (link_id.raw(), 1)
+                }
+                None => {
+                    let table = table.get_or_insert_with(|| {
+                        routed = vec![(0, 0); n * n];
+                        RoutingTable::new(topo, chunk_size)
+                    });
+                    let slot = &mut routed[t.dst().index() * n + t.src().index()];
+                    if slot.1 == 0 {
+                        let start = links.len();
+                        if !append_route(topo, table, t.src(), t.dst(), &mut links) {
+                            return Err(SimError::Unroutable {
+                                src: t.src().index(),
+                                dst: t.dst().index(),
+                            });
+                        }
+                        *slot = (start as u32, (links.len() - start) as u32);
+                    }
+                    *slot
+                }
+            };
+            spans.push(span);
+        }
+        Ok(HopTable { spans, links })
+    }
+
+    /// The link hop `hop` of `transfer` crosses.
+    fn link(&self, msg: Message) -> LinkId {
+        let (start, _) = self.spans[msg.transfer as usize];
+        self.links[(start + msg.hop) as usize]
+    }
+
+    /// Number of hops of `transfer`.
+    fn len(&self, transfer: u32) -> u32 {
+        self.spans[transfer as usize].1
+    }
+
+    /// Total hops over all transfers: one served message each.
+    fn total(&self) -> usize {
+        self.spans.iter().map(|&(_, len)| len as usize).sum()
+    }
+}
+
+/// Per-link queue and occupancy.
 #[derive(Debug)]
 struct LinkState {
     busy_until: Time,
     pending: BinaryHeap<Reverse<(Priority, Message)>>,
+}
+
+/// Everything the event loop mutates.
+struct Engine<'a> {
+    topo: &'a Topology,
+    transfers: &'a [Transfer],
+    chunk_size: ByteSize,
+    hops: HopTable,
+    respect_planned_order: bool,
+    cut_through: bool,
+    events: RadixQueue<Event>,
+    links: Vec<LinkState>,
+    /// Queue arrivals so far: the tie-break among equal priorities.
+    arrivals: u64,
+    link_bytes: Vec<u64>,
+    link_busy: Vec<Time>,
+    intervals: Option<Vec<BusyInterval>>,
+    messages: u64,
+}
+
+impl Engine<'_> {
+    /// Planned start of `transfer`, if it has one and plans are honored.
+    fn planned(&self, transfer: u32) -> Option<Time> {
+        if self.respect_planned_order {
+            self.transfers[transfer as usize].start()
+        } else {
+            None
+        }
+    }
+
+    /// Schedules `msg` to join its link's queue once it is ready at
+    /// `ready`. Planned starts double as release times: a scheduled
+    /// transfer is never served before its plan.
+    fn release(&mut self, msg: Message, ready: Time) {
+        let at = match self.planned(msg.transfer) {
+            Some(plan) if msg.hop == 0 => plan.max(ready),
+            _ => ready,
+        };
+        self.events.push(at.as_ps(), Event::Release(msg));
+    }
+
+    /// `msg` joins its link's queue at `now`.
+    fn arrive(&mut self, msg: Message, now: Time) {
+        let link_id = self.hops.link(msg);
+        self.arrivals += 1;
+        let prio: Priority = (
+            self.planned(msg.transfer).map_or(u64::MAX, Time::as_ps),
+            now.as_ps(),
+            self.arrivals,
+        );
+        let payload = self.transfers[msg.transfer as usize].payload(self.chunk_size);
+        self.link_bytes[link_id.index()] += payload.as_u64();
+        self.links[link_id.index()]
+            .pending
+            .push(Reverse((prio, msg)));
+        self.try_start(link_id, now);
+    }
+
+    /// Serves the highest-priority queued message if the link is idle.
+    /// Its cost is `α + β·(count · chunk_size)`; under cut-through routing,
+    /// hops after the first skip α.
+    fn try_start(&mut self, link_id: LinkId, now: Time) {
+        let ls = &mut self.links[link_id.index()];
+        if ls.busy_until > now {
+            return;
+        }
+        let Some(Reverse((_, msg))) = ls.pending.pop() else {
+            return;
+        };
+        let link = self.topo.link(link_id);
+        let payload = self.transfers[msg.transfer as usize].payload(self.chunk_size);
+        let full = link.cost(payload);
+        let cost = if self.cut_through && msg.hop > 0 {
+            full - link.spec().alpha()
+        } else {
+            full
+        };
+        let done = now + cost;
+        ls.busy_until = done;
+        self.link_busy[link_id.index()] += cost;
+        if let Some(intervals) = &mut self.intervals {
+            intervals.push(BusyInterval {
+                link: link_id,
+                start: now,
+                duration: cost,
+                bytes: payload.as_u64(),
+            });
+        }
+        self.events.push(done.as_ps(), Event::Complete(msg));
+        self.messages += 1;
+    }
 }
 
 impl Simulator {
@@ -178,49 +388,8 @@ impl Simulator {
                 algorithm: algo.num_npus(),
             });
         }
-        let chunk_size = algo.chunk_size();
         let transfers = algo.transfers();
-
-        // Resolve each transfer into its hop sequence.
-        let needs_routing = transfers.iter().any(|t| t.link().is_none());
-        let table = needs_routing.then(|| RoutingTable::new(topo, chunk_size));
-        let mut hops: Vec<Vec<LinkId>> = Vec::with_capacity(transfers.len());
-        for (i, t) in transfers.iter().enumerate() {
-            match t.link() {
-                Some(link_id) => {
-                    if link_id.index() >= topo.num_links() {
-                        return Err(SimError::BadLink {
-                            transfer: i,
-                            reason: format!("link {link_id} does not exist"),
-                        });
-                    }
-                    let link = topo.link(link_id);
-                    if link.src() != t.src() || link.dst() != t.dst() {
-                        return Err(SimError::BadLink {
-                            transfer: i,
-                            reason: format!(
-                                "endpoints {} -> {} do not match link {} -> {}",
-                                t.src(),
-                                t.dst(),
-                                link.src(),
-                                link.dst()
-                            ),
-                        });
-                    }
-                    hops.push(vec![link_id]);
-                }
-                None => {
-                    let table = table.as_ref().expect("built when needed");
-                    let path =
-                        route_path(topo, table, t.src(), t.dst()).ok_or(SimError::Unroutable {
-                            src: t.src().index(),
-                            dst: t.dst().index(),
-                        })?;
-                    debug_assert!(!path.is_empty());
-                    hops.push(path);
-                }
-            }
-        }
+        let hops = HopTable::new(topo, transfers, algo.chunk_size())?;
 
         // Dependency bookkeeping: each transfer's outstanding count, and
         // the reverse edges as one CSR — transfer `t` releases
@@ -246,155 +415,61 @@ impl Simulator {
             (remaining, at, dependents)
         };
 
-        // Planned starts double as release times and as queue priorities:
-        // a scheduled transfer is never served before (or out of order
-        // with) its plan, which makes replaying a contention-free schedule
-        // exact. Unscheduled transfers run eagerly, FCFS.
-        let planned: Vec<Option<Time>> = transfers
-            .iter()
-            .map(|t| {
-                if self.config.respect_planned_order {
-                    t.start()
-                } else {
-                    None
-                }
-            })
-            .collect();
-
-        let mut clock = Time::ZERO;
-        let mut completed_transfers = 0usize;
-
-        struct EngineState {
-            links: Vec<LinkState>,
-            link_bytes: Vec<u64>,
-            link_busy: Vec<Time>,
-            intervals: Vec<BusyInterval>,
-            events: BinaryHeap<Reverse<(Time, u64, Event)>>,
-            seq: u64,
-            messages: u64,
-            record_intervals: bool,
-        }
-
-        impl EngineState {
-            /// Serve the highest-priority queued message if the link is
-            /// idle.
-            fn try_start(
-                &mut self,
-                link_id: LinkId,
-                now: Time,
-                cost_of: impl Fn(Message, LinkId) -> (Time, u64),
-            ) {
-                let ls = &mut self.links[link_id.index()];
-                if ls.busy_until <= now {
-                    if let Some(Reverse((_, msg))) = ls.pending.pop() {
-                        let (cost, bytes) = cost_of(msg, link_id);
-                        let done = now + cost;
-                        ls.busy_until = done;
-                        self.link_busy[link_id.index()] += cost;
-                        if self.record_intervals {
-                            self.intervals.push(BusyInterval {
-                                link: link_id,
-                                start: now,
-                                duration: cost,
-                                bytes,
-                            });
-                        }
-                        self.seq += 1;
-                        self.events
-                            .push(Reverse((done, self.seq, Event::Complete(msg, link_id))));
-                        self.messages += 1;
-                    }
-                }
-            }
-
-            fn push_event(&mut self, time: Time, event: Event) {
-                self.seq += 1;
-                self.events.push(Reverse((time, self.seq, event)));
-            }
-        }
-
-        let release_time = |msg: Message, ready: Time| -> Time {
-            if msg.hop == 0 {
-                planned[msg.transfer as usize].map_or(ready, |p| p.max(ready))
-            } else {
-                ready
-            }
-        };
-
-        // Per-message transmission cost: α + β·(count · chunk_size); under
-        // cut-through routing, hops after the first skip α.
-        let cut_through = self.config.route_model == RouteModel::CutThrough;
-        let cost_of = |msg: Message, link_id: LinkId| -> (Time, u64) {
-            let link = topo.link(link_id);
-            let payload = transfers[msg.transfer as usize].payload(chunk_size);
-            let full = link.cost(payload);
-            let cost = if cut_through && msg.hop > 0 {
-                full - link.spec().alpha()
-            } else {
-                full
-            };
-            (cost, payload.as_u64())
-        };
-
-        let mut engine = EngineState {
+        let intervals = self
+            .config
+            .record_intervals
+            .then(|| Vec::with_capacity(hops.total()));
+        let mut engine = Engine {
+            topo,
+            transfers,
+            chunk_size: algo.chunk_size(),
+            hops,
+            respect_planned_order: self.config.respect_planned_order,
+            cut_through: self.config.route_model == RouteModel::CutThrough,
+            events: RadixQueue::new(),
             links: (0..topo.num_links())
                 .map(|_| LinkState {
                     busy_until: Time::ZERO,
                     pending: BinaryHeap::new(),
                 })
                 .collect(),
+            arrivals: 0,
             link_bytes: vec![0u64; topo.num_links()],
             link_busy: vec![Time::ZERO; topo.num_links()],
-            intervals: Vec::new(),
-            events: BinaryHeap::new(),
-            seq: 0,
+            intervals,
             messages: 0,
-            record_intervals: self.config.record_intervals,
         };
 
         // Kick off every transfer whose dependencies are already satisfied.
         for (i, &remaining) in deps_remaining.iter().enumerate() {
-            if remaining == 0 && !hops[i].is_empty() {
+            if remaining == 0 {
                 let msg = Message {
                     transfer: i as u32,
                     hop: 0,
                 };
-                engine.push_event(release_time(msg, Time::ZERO), Event::Release(msg));
+                engine.release(msg, Time::ZERO);
             }
         }
 
-        while let Some(Reverse((time, _, event))) = engine.events.pop() {
-            clock = clock.max(time);
+        let mut clock = Time::ZERO;
+        let mut completed_transfers = 0usize;
+        while let Some((time, event)) = engine.events.pop() {
+            clock = Time::from_ps(time);
             match event {
-                Event::Release(msg) => {
-                    let link_id = hops[msg.transfer as usize][msg.hop as usize];
-                    engine.seq += 1;
-                    let prio: Priority = (
-                        planned[msg.transfer as usize].map_or(u64::MAX, Time::as_ps),
-                        time.as_ps(),
-                        engine.seq,
-                    );
-                    engine.links[link_id.index()]
-                        .pending
-                        .push(Reverse((prio, msg)));
-                    let payload = transfers[msg.transfer as usize].payload(chunk_size);
-                    engine.link_bytes[link_id.index()] += payload.as_u64();
-                    engine.try_start(link_id, time, cost_of);
-                }
-                Event::Complete(msg, link_id) => {
-                    let t_idx = msg.transfer as usize;
-                    if (msg.hop as usize) + 1 < hops[t_idx].len() {
-                        // Store-and-forward: next hop becomes ready now.
+                Event::Release(msg) => engine.arrive(msg, clock),
+                Event::Complete(msg) => {
+                    if msg.hop + 1 < engine.hops.len(msg.transfer) {
+                        // The next hop becomes ready now.
                         let next = Message {
                             transfer: msg.transfer,
                             hop: msg.hop + 1,
                         };
-                        engine.push_event(time, Event::Release(next));
+                        engine.events.push(time, Event::Release(next));
                     } else {
                         // Transfer complete; release dependents.
                         completed_transfers += 1;
-                        let released =
-                            dependents_at[t_idx] as usize..dependents_at[t_idx + 1] as usize;
+                        let t = msg.transfer as usize;
+                        let released = dependents_at[t] as usize..dependents_at[t + 1] as usize;
                         for &d in &dependents[released] {
                             deps_remaining[d as usize] -= 1;
                             if deps_remaining[d as usize] == 0 {
@@ -402,12 +477,12 @@ impl Simulator {
                                     transfer: d,
                                     hop: 0,
                                 };
-                                engine.push_event(release_time(msg, time), Event::Release(msg));
+                                engine.release(msg, clock);
                             }
                         }
                     }
                     // The link just freed up; serve the next queued message.
-                    engine.try_start(link_id, time, cost_of);
+                    engine.try_start(engine.hops.link(msg), clock);
                 }
             }
         }
@@ -424,7 +499,7 @@ impl Simulator {
             clock,
             engine.link_bytes,
             engine.link_busy,
-            engine.intervals,
+            engine.intervals.unwrap_or_default(),
             engine.messages,
             algo.total_size(),
         ))

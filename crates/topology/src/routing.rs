@@ -57,22 +57,24 @@ pub fn shortest_path_times(topo: &Topology, src: NpuId, size: ByteSize) -> Vec<T
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     num_npus: usize,
-    /// `next[dst][cur]` = link leaving `cur` toward `dst` (`u32::MAX` = none).
-    next: Vec<Vec<u32>>,
-    /// `cost[dst][cur]` = total path cost from `cur` to `dst`.
-    cost: Vec<Vec<Time>>,
+    /// `next[dst * n + cur]` = link leaving `cur` toward `dst` (`u32::MAX`
+    /// = none).
+    next: Vec<u32>,
+    /// `cost[dst * n + cur]` = total path cost from `cur` to `dst`.
+    cost: Vec<Time>,
 }
 
 impl RoutingTable {
     /// Builds the table for messages of `size` bytes.
     pub fn new(topo: &Topology, size: ByteSize) -> Self {
         let n = topo.num_npus();
-        let mut next = vec![vec![u32::MAX; n]; n];
-        let mut cost = vec![vec![Time::MAX; n]; n];
+        let mut next = vec![u32::MAX; n * n];
+        let mut cost = vec![Time::MAX; n * n];
         // Reverse Dijkstra from every destination, relaxing over in-links.
         for dst in topo.npus() {
-            let next_row = &mut next[dst.index()];
-            let cost_row = &mut cost[dst.index()];
+            let row = dst.index() * n..(dst.index() + 1) * n;
+            let next_row = &mut next[row.clone()];
+            let cost_row = &mut cost[row];
             cost_row[dst.index()] = Time::ZERO;
             let mut heap = BinaryHeap::new();
             heap.push(Reverse((Time::ZERO, dst)));
@@ -106,14 +108,14 @@ impl RoutingTable {
     /// The next link to take from `cur` toward `dst`, or `None` if `dst` is
     /// unreachable (or `cur == dst`).
     pub fn next_hop(&self, cur: NpuId, dst: NpuId) -> Option<LinkId> {
-        let raw = self.next[dst.index()][cur.index()];
+        let raw = self.next[dst.index() * self.num_npus + cur.index()];
         (raw != u32::MAX && cur != dst).then(|| LinkId::new(raw))
     }
 
     /// Total shortest-path cost from `src` to `dst` ([`Time::MAX`] if
     /// unreachable).
     pub fn path_cost(&self, src: NpuId, dst: NpuId) -> Time {
-        self.cost[dst.index()][src.index()]
+        self.cost[dst.index() * self.num_npus + src.index()]
     }
 
     /// Number of NPUs this table was built for.
@@ -132,20 +134,38 @@ pub fn route_path(
     src: NpuId,
     dst: NpuId,
 ) -> Option<Vec<LinkId>> {
-    if src == dst {
-        return Some(Vec::new());
-    }
     let mut path = Vec::new();
+    append_route(topo, table, src, dst, &mut path).then_some(path)
+}
+
+/// Appends the link sequence from `src` to `dst` to `path`, as
+/// [`route_path`] would return it, without allocating a vector per path.
+///
+/// Returns `false`, with `path` truncated back to its old length, if `dst`
+/// is unreachable from `src`.
+pub fn append_route(
+    topo: &Topology,
+    table: &RoutingTable,
+    src: NpuId,
+    dst: NpuId,
+    path: &mut Vec<LinkId>,
+) -> bool {
+    let start = path.len();
     let mut cur = src;
     while cur != dst {
-        let link = table.next_hop(cur, dst)?;
-        if path.len() > topo.num_npus() {
-            return None; // defensive: would indicate a routing loop
+        // The second test is defensive: it would indicate a routing loop.
+        match table.next_hop(cur, dst) {
+            Some(link) if path.len() - start <= topo.num_npus() => {
+                path.push(link);
+                cur = topo.link(link).dst();
+            }
+            _ => {
+                path.truncate(start);
+                return false;
+            }
         }
-        path.push(link);
-        cur = topo.link(link).dst();
     }
-    Some(path)
+    true
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use std::fmt;
 use tacos_baselines::{BaselineAlgorithm, IdealBound};
 use tacos_collective::{Collective, CollectivePattern};
 use tacos_core::Synthesizer;
-use tacos_sim::Simulator;
+use tacos_sim::{SimConfig, Simulator};
 use tacos_topology::{ByteSize, Time, Topology};
 
 use crate::error::WorkloadError;
@@ -203,7 +203,9 @@ impl<'a> TrainingEvaluator<'a> {
             Mechanism::Baseline(kind) => {
                 let coll = Collective::all_reduce(n, size)?;
                 let algo = BaselineAlgorithm::new(kind.clone()).generate(self.topo, &coll)?;
-                let report = Simulator::new().simulate(self.topo, &algo)?;
+                // Only the time is read: skip recording busy intervals.
+                let sim = SimConfig::default().with_record_intervals(false);
+                let report = Simulator::with_config(sim).simulate(self.topo, &algo)?;
                 Ok(report.collective_time())
             }
             Mechanism::Tacos(m) => {
